@@ -526,8 +526,10 @@ def weierstrass_poly_of_function(
     of ``func`` on the fiber: the product of (zeta - func(z, w_i(z))).
 
     The coefficients are symmetric in the sheets, hence single-valued
-    polynomials in z; they are recovered by sampling on a circle that keeps
-    clear of every branch point and interpolating.
+    polynomials in z; they are recovered by sampling on a circle of radius R
+    that keeps clear of every branch point and interpolating.  A z^k
+    coefficient c is dropped when its size on that circle, |c| R^k, is at most
+    ``strip_tol`` times the largest coefficient (or 1).
     """
     b = cover.degree
     max_c_deg = max(max(c.degree for c in cover.poly.w_coeffs), 1)
@@ -556,7 +558,10 @@ def weierstrass_poly_of_function(
     top = max(np.abs(coeff_cols).max(), 1.0)
     rows = []
     for j in range(b + 1):
-        col = [c if abs(c) > strip_tol * top else 0j for c in coeff_cols[:, j]]
+        col = [
+            c if abs(c) * radius**k > strip_tol * top else 0j
+            for k, c in enumerate(coeff_cols[:, j])
+        ]
         rows.append(col)
     rows[b] = [1.0 + 0j]
     return BivarPoly.from_lists(rows)

@@ -92,3 +92,43 @@ def random_transitive_images(rng: np.random.Generator, degree: int, k: int) -> l
         images = [tuple(int(x) for x in rng.permutation(degree)) for _ in range(k)]
         if orbit_size(images, 0) == degree:
             return images
+
+
+def fd_complex_hessian_loop(f, w: np.ndarray, h: float) -> np.ndarray:
+    """Complex Hessian d^2 f / dw_j dwbar_k of a scalar f, one real central
+    difference at a time (16 n^2 scalar calls; the reference for the batched
+    stencil)."""
+    n = w.size
+
+    def ev(dx: np.ndarray, dy: np.ndarray) -> float:
+        return f(w + dx + 1j * dy)
+
+    def mixed(a: int, b: int, ya: bool, yb: bool) -> float:
+        if a == b and ya == yb:
+            # plain second difference in one real coordinate
+            dx = np.zeros(n)
+            dy = np.zeros(n)
+            (dy if ya else dx)[a] = h
+            return (ev(dx, dy) - 2.0 * ev(np.zeros(n), np.zeros(n)) + ev(-dx, -dy)) / (h * h)
+        dxa = np.zeros(n)
+        dya = np.zeros(n)
+        (dya if ya else dxa)[a] = h
+        dxb = np.zeros(n)
+        dyb = np.zeros(n)
+        (dyb if yb else dxb)[b] = h
+        return (
+            ev(dxa + dxb, dya + dyb)
+            - ev(dxa - dxb, dya - dyb)
+            - ev(dxb - dxa, dyb - dya)
+            + ev(-dxa - dxb, -dya - dyb)
+        ) / (4.0 * h * h)
+
+    hess = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            xx = mixed(j, k, False, False)
+            yy = mixed(j, k, True, True)
+            xy = mixed(j, k, False, True)
+            yx = mixed(j, k, True, False)
+            hess[j, k] = 0.25 * ((xx + yy) + 1j * (xy - yx))
+    return hess

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from coverext.errors import NotSmooth, NumericFailure
-from coverext.hartogs import in_hartogs_figure, levi_signature, rho_alpha
+from coverext.hartogs import (
+    _fd_complex_hessian,
+    _rho_rows,
+    in_hartogs_figure,
+    levi_matrix,
+    levi_signature,
+    rho_alpha,
+)
+from oracles import fd_complex_hessian_loop
 
 
 def random_point(rng, n, low=0.05, high=0.95):
@@ -67,8 +75,32 @@ def test_degenerate_block_at_vanishing_w2():
 
 def test_finite_difference_guard_trips_on_coarse_step():
     w = [0.3, 0.2 + 0.1j, 0.4 - 0.2j]
-    with pytest.raises(NumericFailure, match="deviates"):
+    with pytest.raises(NumericFailure, match=r"deviates .* at entry \(2, 2\) \(allowed"):
         levi_signature(w, q=2, alpha=3.5, r=0.5, fd_step=0.5)
+
+
+def _check_batched_stencil(w, q, alpha):
+    # levi_signature's defaults: fd_step 1e-4, fd_rel_tol 1e-5
+    batched = _fd_complex_hessian(lambda pts: _rho_rows(pts, q, alpha, 0.5), w, 1e-4)
+    loop = fd_complex_hessian_loop(lambda p: rho_alpha(p, q, alpha, 0.5), w, 1e-4)
+    assert float(np.abs(batched - loop).max()) <= 1e-6
+    mat = levi_matrix(w, q, alpha, 0.5)
+    scale = 1.0 + float(np.abs(mat).max())
+    assert float(np.abs(2.0 * batched - mat).max()) <= 1e-5 * scale
+
+
+def test_batched_stencil_matches_loop_reference_and_closed_form():
+    rng = np.random.default_rng(31)
+    for n in range(2, 9):
+        for q in range(1, n):
+            for alpha in (0.3, 1.0, 2.0, 3.5):
+                _check_batched_stencil(np.array(random_point(rng, n)), q, alpha)
+    # integer alpha where the second block vanishes: the closed form is still defined
+    for n, q in ((2, 1), (5, 2), (8, 7)):
+        w = np.zeros(n, dtype=complex)
+        w[: n - q] = random_point(rng, n - q)
+        for alpha in (1.0, 2.0, 3.0):
+            _check_batched_stencil(w, q, alpha)
 
 
 def test_signature_random_parameters():

@@ -124,6 +124,39 @@ def test_weierstrass_of_coordinate_recovers_cover():
                 assert abs(a - b) < 1e-8
 
 
+def test_weierstrass_keeps_coefficients_that_matter_on_the_sampling_circle():
+    # the d=6 slice w^6 + sum (a_k + b_k z) w^k from default_rng(1) (second draw)
+    rng = np.random.default_rng(1)
+    for _ in range(2):
+        d = int(rng.integers(3, 9))
+        a = rng.normal(size=d) + 1j * rng.normal(size=d)
+        b = rng.normal(size=d) + 1j * rng.normal(size=d)
+    assert d == 6
+    cover = CoverSlice(BivarPoly.from_lists([[a[k], b[k]] for k in range(d)] + [[1.0]]))
+    # a function f(z, w) linear in z and quadratic in w, drawn from default_rng(2)
+    # after the 64 draws the analytic benchmark spends on the first slice
+    rng = np.random.default_rng(2)
+    rng.normal(size=12)
+    rng.uniform(size=8)
+    rng.normal(size=44)
+    func = BivarPoly.from_lists(
+        [[complex(rng.normal(), rng.normal()) for _ in range(2)] for _ in range(3)]
+    )
+    wp = weierstrass_poly_of_function(cover, func)
+    assert wp.w_degree == d and wp.w_coeffs[-1].coeffs == (1 + 0j,)
+    # the sampling circle has radius about 270 here; its small z^k coefficients
+    # still move the polynomial by |c| R^k inside the disc
+    radius = 1.37 * (1.0 + max(abs(c) for c in branch_points(cover)))
+    for share, turn in ((0.1, 0.3), (0.45, 0.9), (0.8, 0.11), (0.95, 0.62)):
+        z = share * radius * cmath.exp(2j * cmath.pi * turn)
+        coeffs = [c(z) for c in wp.w_coeffs]
+        for w in cover.fiber(z):
+            zeta = func(z, w)
+            val = abs(sum(c * zeta**j for j, c in enumerate(coeffs)))
+            scale = sum(abs(c) * abs(zeta) ** j for j, c in enumerate(coeffs))
+            assert val <= 1e-8 * scale
+
+
 def test_perm_around():
     mono = full_monodromy(CUBIC)
     assert mono.perm_around(-1.0).images == (0, 2, 1)
