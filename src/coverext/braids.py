@@ -96,8 +96,8 @@ def hom_search(
     ``pinned`` fixes the images of some generators; the rest range over the
     whole symmetric group.  Candidates are pruned as soon as a relator with
     fully assigned support fails (both evaluators are consulted at every
-    check).  Raises :class:`CapExceeded` when the raw search space exceeds
-    ``cap`` assignments.
+    check, and each relator is checked once per partial assignment).  Raises
+    :class:`CapExceeded` when the raw search space exceeds ``cap`` assignments.
     """
     pres = braid_presentation(m)
     names = list(pres.generators)
@@ -112,16 +112,18 @@ def hom_search(
     if space > cap:
         raise CapExceeded(f"search space of {space} assignments exceeds cap {cap}")
 
-    sym = [Perm(p) for p in itertools.permutations(range(degree))]
     relator_support = [(r, set(r.generators())) for r in pres.relators]
+    # Relators on pinned generators only are judged once, here; every other
+    # relator is judged when the last generator of its support is assigned.
+    for relator, support in relator_support:
+        if support <= set(pinned) and not _check_both_ways(pinned, relator, degree):
+            return ()
 
+    sym = [Perm(p) for p in itertools.permutations(range(degree))]
     solutions: list[dict[str, Perm]] = []
 
     def extend(assigned: dict[str, Perm], todo: list[str]) -> None:
         done = set(assigned)
-        for relator, support in relator_support:
-            if support <= done and not _check_both_ways(assigned, relator, degree):
-                return
         if not todo:
             solutions.append(dict(assigned))
             return

@@ -15,11 +15,12 @@ action is on the right: ``table.act(c, w)`` is the coset of ``rep(c) * w``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import CapExceeded
-from .perms import Perm
+from .perms import Perm, inverse_images
 from .reps import PermRep
 from .words import Word
 
@@ -67,11 +68,18 @@ def schreier_generators(
     ``transversal[s] * g * transversal[g(s)]**-1`` stabilizes the base point;
     the freely trivial ones (spanning-tree edges) are dropped, leaving
     ``b*(n-1) + 1`` generators for a transitive action on ``b`` sheets.
+
+    Each inverse image table is built once and each word is reduced once, so
+    the cost is O(b * n * |word|) for transversal words of length ``|word|``.
     """
     names = tuple(gen_order) if gen_order is not None else rep.generator_names
     if set(names) != set(rep.images):
         raise ValueError("gen_order must list exactly the representation's generators")
     b = rep.degree
+    moves = []  # (images, inverse images, letter, inverse letter) per generator
+    for name in names:
+        img = rep.images[name].images
+        moves.append((img, inverse_images(img), Word.gen(name).syllables, Word.gen(name, -1).syllables))
     transversal: list[Word | None] = [None] * b
     transversal[base_point] = Word.identity()
     order = [base_point]
@@ -79,22 +87,21 @@ def schreier_generators(
     while frontier:
         nxt: list[int] = []
         for s in frontier:
-            for name in names:
-                for step in (1, -1):
-                    p = rep.images[name] if step > 0 else rep.images[name].inverse()
-                    t = p(s)
+            for img, inv, up, down in moves:
+                for t, letter in ((img[s], up), (inv[s], down)):
                     if transversal[t] is None:
-                        transversal[t] = transversal[s] * Word.gen(name, step)  # type: ignore[operator]
+                        transversal[t] = Word(transversal[s].syllables + letter)  # type: ignore[union-attr]
                         order.append(t)
                         nxt.append(t)
         frontier = nxt
     if any(t is None for t in transversal):
         raise ValueError("representation is not transitive; stabilizer has no finite transversal data")
+    back = [t.inverse().syllables for t in transversal]  # type: ignore[union-attr]
     gens: list[Word] = []
     for s in order:
-        for name in names:
-            t = rep.images[name](s)
-            w = transversal[s] * Word.gen(name) * transversal[t].inverse()  # type: ignore[union-attr]
+        head = transversal[s].syllables  # type: ignore[union-attr]
+        for img, _, up, _ in moves:
+            w = Word(head + up + back[img[s]])
             if not w.is_identity():
                 gens.append(w)
     return StabilizerData(base_point, tuple(transversal), tuple(gens))  # type: ignore[arg-type]
@@ -107,14 +114,19 @@ class CosetTable:
     gen_names: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
     rep_words: tuple[Word, ...]
+    _col_of: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_col_of", {g: 2 * i for i, g in enumerate(self.gen_names)})
 
     @property
     def index(self) -> int:
         return len(self.rows)
 
     def _col(self, name: str, step: int) -> int:
-        i = self.gen_names.index(name)
-        return 2 * i + (0 if step > 0 else 1)
+        if name not in self._col_of:
+            raise ValueError(f"coset table has no generator {name!r}")
+        return self._col_of[name] + (0 if step > 0 else 1)
 
     def act(self, coset: int, word: Word) -> int:
         """Coset reached from ``coset`` by right multiplication with ``word``."""
@@ -193,9 +205,9 @@ class _Enumerator:
         return Word.gen(name, 1 if col % 2 == 0 else -1)
 
     def _coincide(self, a: int, b: int) -> None:
-        queue = [(a, b)]
+        queue = deque([(a, b)])
         while queue:
-            x, y = queue.pop(0)
+            x, y = queue.popleft()
             x, y = self.rep(x), self.rep(y)
             if x == y:
                 continue
@@ -270,7 +282,9 @@ class _Enumerator:
         self.alive = len(live)
         self._old2new = old2new
 
-    def run(self) -> CosetTable:
+    def _enumerate(self) -> None:
+        """One HLT sweep over the table from coset 0, with lookahead at the cap."""
+
         def scans_at(c: int, include_subgroup: bool) -> None:
             if include_subgroup:
                 for cols in self.subgroup_cols:
@@ -305,8 +319,8 @@ class _Enumerator:
                 continue
             alpha += 1
 
-        self._compact()
-        # Stability pass: every scan must close on the final table.
+    def _stable(self) -> bool:
+        """Whether every scan closes on the compacted table."""
         for c in range(len(self.rows)):
             for cols in ([*self.subgroup_cols] if c == 0 else []) + self.relator_cols:
                 i, f = 0, c
@@ -314,8 +328,16 @@ class _Enumerator:
                     f = self.rows[f][cols[i]]  # type: ignore[assignment]
                     i += 1
                 if i < len(cols) or f != c:
-                    # A merge invalidated an earlier scan; rerun the main loop.
-                    return self.run()
+                    return False
+        return True
+
+    def run(self) -> CosetTable:
+        # A merge can invalidate an earlier scan; sweep again until none does.
+        while True:
+            self._enumerate()
+            self._compact()
+            if self._stable():
+                break
         rows = tuple(tuple(int(d) for d in row) for row in self.rows)  # type: ignore[union-attr, arg-type]
         return CosetTable(self.pres.generators, rows, tuple(self.words))
 

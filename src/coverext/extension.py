@@ -220,6 +220,7 @@ def maximality_check(
             return MaximalityVerdict(False, candidate.degree <= result.b1, False, None, None)
 
     table = result.table
+    actions = {name: table.coset_action(name).images for name in pres.generators}
     quotient: tuple[int, ...] | None = None
     for t0 in range(candidate.degree):
         f: list[int | None] = [None] * table.index
@@ -230,7 +231,7 @@ def maximality_check(
             nxt: list[int] = []
             for c in frontier:
                 for name in pres.generators:
-                    c2 = table.coset_action(name)(c)
+                    c2 = actions[name][c]
                     t2 = candidate.images[name](f[c])  # type: ignore[arg-type]
                     if f[c2] is None:
                         f[c2] = t2

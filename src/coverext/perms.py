@@ -58,10 +58,7 @@ class Perm:
         return Perm(tuple(other.images[y] for y in self.images))
 
     def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Perm(tuple(inv))
+        return Perm(inverse_images(self.images))
 
     def __pow__(self, k: int) -> "Perm":
         if k < 0:
@@ -125,6 +122,14 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm({list(self.images)})"
+
+
+def inverse_images(images: Sequence[int]) -> tuple[int, ...]:
+    """Image tuple of the inverse of a permutation given by its image tuple."""
+    inv = [0] * len(images)
+    for x, y in enumerate(images):
+        inv[y] = x
+    return tuple(inv)
 
 
 def format_cycles(p: Perm) -> str:

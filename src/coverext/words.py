@@ -16,9 +16,14 @@ _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
 def _normalize(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    """Merge adjacent syllables and drop zero exponents (full free reduction)."""
+    """Merge adjacent syllables and drop zero exponents (full free reduction).
+
+    A syllable that does not merge with a neighbour is kept as the given
+    tuple object, so words built from other words share their syllables.
+    """
     stack: list[tuple[str, int]] = []
-    for name, exp in pairs:
+    for pair in pairs:
+        name, exp = pair
         if exp == 0:
             continue
         if stack and stack[-1][0] == name:
@@ -27,7 +32,7 @@ def _normalize(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
             if merged:
                 stack.append((name, merged))
         else:
-            stack.append((name, exp))
+            stack.append(pair if type(pair) is tuple else (name, exp))
     return tuple(stack)
 
 
@@ -59,10 +64,7 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Word.identity()
-        for _ in range(k):
-            out = out * self
-        return out
+        return Word(self.syllables * k)
 
     def is_identity(self) -> bool:
         return not self.syllables
@@ -87,13 +89,24 @@ class Word:
         return tuple(seen)
 
     def substitute(self, mapping: Mapping[str, "Word"]) -> "Word":
-        """Apply the homomorphism sending each generator to ``mapping[name]``."""
-        out = Word.identity()
+        """Apply the homomorphism sending each generator to ``mapping[name]``.
+
+        The images' syllables are concatenated and reduced once; free
+        reduction is confluent, so this is the product of the images.
+        """
+        pairs: list[tuple[str, int]] = []
+        inverses: dict[str, tuple[tuple[str, int], ...]] = {}
         for name, exp in self.syllables:
             if name not in mapping:
                 raise ValueError(f"no image given for generator {name!r}")
-            out = out * (mapping[name] ** exp)
-        return out
+            if exp > 0:
+                img = mapping[name].syllables
+            else:
+                if name not in inverses:
+                    inverses[name] = mapping[name].inverse().syllables
+                img = inverses[name]
+            pairs.extend(img * abs(exp))
+        return Word(tuple(pairs))
 
     def __str__(self) -> str:
         return format_word(self)

@@ -3,12 +3,15 @@
 Nothing here goes through the package's own algorithms: roots come from
 numpy's companion matrix, resultants and discriminants from root-product
 formulas, group-theoretic counts from breadth-first search on raw index
-tuples.
+tuples.  The word oracles use only ``Word`` multiplication and inversion, one
+factor at a time, as the reference for batched substitution and powers.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from coverext.words import Word
 
 
 def companion_roots(coeffs_constant_first) -> list[complex]:
@@ -73,6 +76,52 @@ def orbit_size(images: list[tuple[int, ...]], start: int) -> int:
                     nxt.append(y)
         frontier = nxt
     return len(seen)
+
+
+def orbit_order(images: list[tuple[int, ...]], start: int) -> list[int]:
+    """Breadth-first orbit in discovery order: from each point, every
+    generator's image and then its inverse's, in the given generator order."""
+    inverses = [tuple_inverse(t) for t in images]
+    seen = {start}
+    order = [start]
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for t, inv in zip(images, inverses):
+                for y in (t[x], inv[x]):
+                    if y not in seen:
+                        seen.add(y)
+                        order.append(y)
+                        nxt.append(y)
+        frontier = nxt
+    return order
+
+
+def chase(images: dict[str, tuple[int, ...]], word: Word, x: int) -> int:
+    """Follow one point through a word, letter by letter, on raw image tuples."""
+    for name, exp in word.syllables:
+        row = images[name]
+        for _ in range(abs(exp)):
+            x = row[x] if exp > 0 else row.index(x)
+    return x
+
+
+def power_iterated(word: Word, k: int) -> Word:
+    """``word ** k`` as |k| products, each reduced on its own."""
+    base = word if k >= 0 else word.inverse()
+    out = Word.identity()
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+def substitute_iterated(word: Word, mapping: dict[str, Word]) -> Word:
+    """Homomorphic image of a word, multiplied in one syllable image at a time."""
+    out = Word.identity()
+    for name, exp in word.syllables:
+        out = out * power_iterated(mapping[name], exp)
+    return out
 
 
 def free_reduce(letters) -> list[tuple[str, int]]:

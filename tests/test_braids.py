@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coverext import braids
 from coverext.braids import (
     braid_generator_names,
     braid_inclusion,
@@ -136,3 +137,53 @@ def test_minimal_extension_input_validation():
     intransitive = PermRep(3, {"s1": Perm.identity(3), "s2": Perm.identity(3)})
     with pytest.raises(ValueError):
         minimal_extension_degree(intransitive, 4)
+
+
+def _braid_homs_brute(m, degree, pinned):
+    """Every assignment checked against all relators by Perm arithmetic."""
+    names = [f"s{i}" for i in range(1, m)]
+    sym = [Perm(p) for p in itertools.permutations(range(degree))]
+    choices = [[pinned[n]] if n in pinned else sym for n in names]
+    out = set()
+    for combo in itertools.product(*choices):
+        assignment = dict(zip(names, combo))
+        if all(perms_relator_check(assignment, r, degree) for r in braid_presentation(m).relators):
+            out.add(tuple(p.images for p in combo))
+    return out
+
+
+@pytest.mark.parametrize(
+    "m, degree, pinned",
+    [
+        (4, 3, {}),
+        (4, 3, {"s2": Perm.from_images([2, 1, 0])}),
+        (4, 3, {"s1": Perm.from_images([1, 0, 2]), "s3": Perm.from_images([0, 2, 1])}),
+        (3, 3, {"s1": Perm.from_images([1, 0, 2]), "s2": Perm.from_images([0, 2, 1])}),
+        (3, 3, {"s1": Perm.from_images([1, 0, 2]), "s2": Perm.from_images([1, 0, 2])}),
+    ],
+)
+def test_hom_search_matches_brute_force_with_pins(m, degree, pinned):
+    sols = hom_search(m, degree, pinned)
+    got = {tuple(sol[f"s{i}"].images for i in range(1, m)) for sol in sols}
+    assert len(got) == len(sols)
+    assert got == _braid_homs_brute(m, degree, pinned)
+
+
+def test_hom_search_judges_each_candidate_once(monkeypatch):
+    calls = []
+    real = braids._check_both_ways
+
+    def counting(images, relator, degree):
+        calls.append((tuple(sorted((n, p.images) for n, p in images.items())), str(relator)))
+        return real(images, relator, degree)
+
+    monkeypatch.setattr(braids, "_check_both_ways", counting)
+    sols = hom_search(3, 3)
+    assert len(sols) == 12
+    # one braid relator, judged once for each of the 6 * 6 full assignments
+    assert len(calls) == len(set(calls)) == 36
+    calls.clear()
+    # a pinned-only relator that fails is judged once and ends the search
+    pinned = {"s1": Perm.from_images([1, 0, 2]), "s3": Perm.from_images([0, 2, 1])}
+    assert hom_search(4, 3, pinned) == ()
+    assert len(calls) == 1

@@ -10,7 +10,7 @@ from coverext.perms import Perm
 from coverext.reps import PermRep
 from coverext.words import Word, format_word, parse_word
 
-from oracles import orbit_size, random_transitive_images
+from oracles import chase, orbit_order, orbit_size, random_transitive_images
 
 S3 = Presentation(
     ("x", "y"),
@@ -146,3 +146,69 @@ def test_act_runs_words_left_to_right():
     c = table.act(0, w)
     assert c == table.act(table.act(0, parse_word("y")), parse_word("x"))
     assert table.act(c, Word.identity()) == c
+
+
+def _random_images(rng: np.random.Generator, degree: int, k: int, blocks: int) -> list[tuple[int, ...]]:
+    """k random permutations, each preserving the same split into ``blocks``
+    runs of points (so the action is intransitive when ``blocks > 1``)."""
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, degree), size=blocks - 1, replace=False))
+    bounds = list(zip([0] + cuts, cuts + [degree]))
+    images = []
+    for _ in range(k):
+        img = list(range(degree))
+        for lo, hi in bounds:
+            img[lo:hi] = (int(x) + lo for x in rng.permutation(hi - lo))
+        images.append(tuple(img))
+    return images
+
+
+def test_orbit_matches_raw_bfs_in_discovery_order():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        degree = int(rng.integers(2, 501))
+        k = int(rng.integers(1, 5))
+        blocks = 1 if trial % 2 else min(degree, int(rng.integers(2, 4)))
+        images = _random_images(rng, degree, k, blocks)
+        rep = PermRep(degree, {f"g{i}": Perm.from_images(t) for i, t in enumerate(images)})
+        for point in (0, int(rng.integers(0, degree)), degree - 1):
+            assert list(rep.orbit(point)) == orbit_order(images, point)
+        assert rep.is_transitive() == (len(orbit_order(images, 0)) == degree)
+        if blocks > 1:
+            assert not rep.is_transitive()
+
+
+def test_act_word_matches_raw_chase():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        degree = int(rng.integers(1, 60))
+        k = int(rng.integers(1, 4))
+        names = [f"g{i}" for i in range(k)]
+        images = {n: tuple(int(x) for x in rng.permutation(degree)) for n in names}
+        rep = PermRep(degree, {n: Perm.from_images(t) for n, t in images.items()})
+        w = Word(tuple((names[int(rng.integers(0, k))], int(rng.integers(-3, 4))) for _ in range(8)))
+        assert rep.act_word(w).images == tuple(chase(images, w, x) for x in range(degree))
+
+
+def test_schreier_generators_chase_to_the_base_point():
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        degree = int(rng.integers(1, 501))
+        k = int(rng.integers(1, 5))
+        names = [f"g{i}" for i in range(k)]
+        images = dict(zip(names, random_transitive_images(rng, degree, k)))
+        rep = PermRep(degree, {n: Perm.from_images(t) for n, t in images.items()})
+        order = [names[i] for i in rng.permutation(k)]
+        base = int(rng.integers(0, degree))
+        stab = schreier_generators(rep, gen_order=order, base_point=base)
+        assert len(stab.generators) == degree * (k - 1) + 1
+        for s, t in enumerate(stab.transversal):
+            assert chase(images, t, base) == s
+        for w in stab.generators:
+            assert not w.is_identity()
+            assert chase(images, w, base) == base
+
+
+def test_coset_table_rejects_unknown_generator():
+    table = todd_coxeter(S3, [parse_word("x")])
+    with pytest.raises(ValueError):
+        table.act(0, parse_word("z"))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +141,23 @@ def test_identity_inclusion_reproduces_cover(data):
     for n in names:
         for s in range(degree):
             assert res.fiber_map[rho0.images[n](s)] == res.rho1.images[n](res.fiber_map[s])
+
+
+def test_weak_extend_10k_sheets_within_budget():
+    # The group layers are linear in the sheet count; a quadratic loop over
+    # sheets would take minutes here.
+    rng = np.random.default_rng(10_000)
+    names = ("a1", "a2")
+    images = random_transitive_images(rng, 10_000, 2)
+    rho0 = PermRep(10_000, {n: Perm.from_images(t) for n, t in zip(names, images)})
+    inc = Inclusion(names, {n: parse_word(n) for n in names}, Presentation.free(names))
+    t0 = perf_counter()
+    res = weak_extend(rho0, inc)
+    dt = perf_counter() - t0
+    assert res.b1 == res.b0 == 10_000 and res.strong
+    assert sorted(res.fiber_map) == list(range(10_000))
+    assert len(res.stabilizer.generators) == 10_001
+    assert dt < 10.0, f"weak_extend on 10k sheets took {dt:.1f}s"
 
 
 def test_two_sheet_uniqueness_range():

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from coverext.words import Word, format_word, parse_word
 
-from oracles import free_reduce
+from oracles import free_reduce, power_iterated, substitute_iterated
 
 ALPHABET = ("a", "b", "c")
 
@@ -94,3 +94,25 @@ def test_parse_rejects_bad_tokens():
 def test_generators_listing():
     w = parse_word("b a b^-1")
     assert set(w.generators()) == {"a", "b"}
+
+
+images = st.lists(st.tuples(st.sampled_from(("x", "y")), st.integers(-2, 2)), max_size=5).map(
+    lambda ls: Word(tuple(ls))
+)
+
+
+@given(words, st.fixed_dictionaries({g: images for g in ALPHABET}))
+def test_substitute_matches_iterated_products(w, mapping):
+    assert w.substitute(mapping) == substitute_iterated(w, mapping)
+
+
+@given(words, st.integers(-6, 6))
+def test_power_matches_iterated_products(w, k):
+    assert w**k == power_iterated(w, k)
+
+
+def test_list_syllables_become_tuples():
+    w = Word([["a", 1], ["b", -1], ["b", 3]])
+    assert w == parse_word("a b^2")
+    assert all(type(syl) is tuple for syl in w.syllables)
+    assert hash(w) == hash(parse_word("a b^2"))
