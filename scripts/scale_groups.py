@@ -1,20 +1,21 @@
 """Time the cover-extension group layers at scaled sheet counts.
 
-For each sheet count this draws a random transitive cover (seeded, so runs
-are repeatable), then prints the wall time of ``is_transitive``,
-``schreier_generators`` and ``weak_extend`` into the free group on the same
-generators (identity inclusion, so ``b1`` must equal the sheet count).  The
-layers are linear in the sheet count up to the length of the transversal
-words, so ten times the sheets should cost a little over ten times the time.
+For 2k, 20k and 100k sheets this draws a random transitive 2-generator cover
+(seeded, so runs are repeatable), then prints the wall time of
+``is_transitive``, ``schreier_generators`` and ``weak_extend`` into the free
+group on the same generators (identity inclusion, so ``b1`` must equal the
+sheet count).  The layers are linear in the sheet count up to the length of
+the transversal words, so ten times the sheets should cost a little over ten
+times the time.
 
-    python scripts/scale_groups.py                  # 2k, 20k and 100k sheets
-    python scripts/scale_groups.py --sizes 1000 2000 --generators 3
+    python scripts/scale_groups.py
 """
 
 from __future__ import annotations
 
-import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -24,13 +25,12 @@ from coverext.perms import Perm
 from coverext.reps import PermRep
 from coverext.words import Word
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import random_transitive_images  # noqa: E402
 
-def random_transitive_rep(rng: np.random.Generator, b: int, k: int) -> PermRep:
-    names = tuple(f"a{i + 1}" for i in range(k))
-    while True:
-        rep = PermRep(b, {n: Perm(tuple(int(x) for x in rng.permutation(b))) for n in names})
-        if len(rep.orbit(0)) == b:
-            return rep
+SIZES = (2000, 20000, 100000)
+GENERATORS = 2
+SEED = 2015
 
 
 def timed(fn):
@@ -40,18 +40,12 @@ def timed(fn):
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[2000, 20000, 100000])
-    ap.add_argument("--generators", type=int, default=2)
-    ap.add_argument("--seed", type=int, default=2015)
-    args = ap.parse_args()
-
+    names = tuple(f"a{i + 1}" for i in range(GENERATORS))
+    inc = Inclusion(names, {n: Word.gen(n) for n in names}, Presentation.free(names))
     print(f"{'sheets':>8} {'is_transitive_s':>16} {'schreier_s':>11} {'weak_extend_s':>14} {'b1':>8}")
-    for b in args.sizes:
-        rng = np.random.default_rng([args.seed, b])
-        rep = random_transitive_rep(rng, b, args.generators)
-        names = rep.generator_names
-        inc = Inclusion(names, {n: Word.gen(n) for n in names}, Presentation.free(names))
+    for b in SIZES:
+        images = random_transitive_images(np.random.default_rng([SEED, b]), b, GENERATORS)
+        rep = PermRep(b, {n: Perm(img) for n, img in zip(names, images)})
         transitive, t_trans = timed(rep.is_transitive)
         _, t_schreier = timed(lambda: schreier_generators(rep, gen_order=names))
         res, t_weak = timed(lambda: weak_extend(rep, inc))

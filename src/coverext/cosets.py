@@ -16,7 +16,8 @@ action is on the right: ``table.act(c, w)`` is the coset of ``rep(c) * w``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import CapExceeded
@@ -107,6 +108,11 @@ def schreier_generators(
     return StabilizerData(base_point, tuple(transversal), tuple(gens))  # type: ignore[arg-type]
 
 
+def _column_of(gen_names: Sequence[str]) -> dict[str, int]:
+    """Coset-table column of each generator; its inverse is the next column."""
+    return {g: 2 * i for i, g in enumerate(gen_names)}
+
+
 @dataclass(frozen=True)
 class CosetTable:
     """Completed coset table; coset 0 is the subgroup."""
@@ -114,14 +120,14 @@ class CosetTable:
     gen_names: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
     rep_words: tuple[Word, ...]
-    _col_of: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_col_of", {g: 2 * i for i, g in enumerate(self.gen_names)})
 
     @property
     def index(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def _col_of(self) -> dict[str, int]:
+        return _column_of(self.gen_names)
 
     def _col(self, name: str, step: int) -> int:
         if name not in self._col_of:
@@ -164,7 +170,7 @@ class _Enumerator:
         self.pres = pres
         self.cap = cap
         self.ncols = 2 * len(pres.generators)
-        self.col_of = {name: 2 * i for i, name in enumerate(pres.generators)}
+        self.col_of = _column_of(pres.generators)
         self.rows: list[list[int | None]] = [[None] * self.ncols]
         self.parent: list[int] = [0]
         self.words: list[Word] = [Word.identity()]
