@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .cosets import Presentation
 from .errors import CapExceeded
@@ -48,7 +48,6 @@ def braid_presentation(m: int) -> Presentation:
 
 def standard_rep(m: int) -> PermRep:
     """The permutation action on strand endpoints: s_i acts as (i-1, i)."""
-    names = braid_generator_names(m)
     return PermRep(m, {f"s{i}": Perm.transposition(m, i - 1, i) for i in range(1, m)})
 
 
@@ -85,6 +84,44 @@ def _check_both_ways(images: Mapping[str, Perm], relator: Word, degree: int) -> 
     return a
 
 
+def _assignments(
+    degree: int,
+    relators: Sequence[Word],
+    fixed: Mapping[str, Perm],
+    slots: Sequence[tuple[str, Sequence[Perm]]],
+) -> Iterator[dict[str, Perm]]:
+    """Every extension of ``fixed`` on which all relators hold, depth first.
+
+    ``slots`` gives the generators still to assign, in order, each with its
+    candidate images.  Relators on ``fixed`` generators only are judged once,
+    up front; every other relator is judged once per partial assignment, when
+    the last generator of its support is assigned, by both evaluators.
+    """
+    supports = [(r, set(r.generators())) for r in relators]
+    known = set(fixed)
+    on_fixed = [r for r, support in supports if support <= known]
+    due: list[list[Word]] = []
+    for name, _ in slots:
+        known.add(name)
+        due.append([r for r, support in supports if name in support and support <= known])
+    assigned = dict(fixed)
+    if not all(_check_both_ways(assigned, r, degree) for r in on_fixed):
+        return
+
+    def extend(i: int) -> Iterator[dict[str, Perm]]:
+        if i == len(slots):
+            yield dict(assigned)
+            return
+        name, candidates = slots[i]
+        for p in candidates:
+            assigned[name] = p
+            if all(_check_both_ways(assigned, r, degree) for r in due[i]):
+                yield from extend(i + 1)
+        del assigned[name]
+
+    yield from extend(0)
+
+
 def hom_search(
     m: int,
     degree: int,
@@ -112,35 +149,8 @@ def hom_search(
     if space > cap:
         raise CapExceeded(f"search space of {space} assignments exceeds cap {cap}")
 
-    relator_support = [(r, set(r.generators())) for r in pres.relators]
-    # Relators on pinned generators only are judged once, here; every other
-    # relator is judged when the last generator of its support is assigned.
-    for relator, support in relator_support:
-        if support <= set(pinned) and not _check_both_ways(pinned, relator, degree):
-            return ()
-
     sym = [Perm(p) for p in itertools.permutations(range(degree))]
-    solutions: list[dict[str, Perm]] = []
-
-    def extend(assigned: dict[str, Perm], todo: list[str]) -> None:
-        done = set(assigned)
-        if not todo:
-            solutions.append(dict(assigned))
-            return
-        name, rest = todo[0], todo[1:]
-        for p in sym:
-            assigned[name] = p
-            new_relators_ok = True
-            for relator, support in relator_support:
-                if name in support and support <= done | {name}:
-                    if not _check_both_ways(assigned, relator, degree):
-                        new_relators_ok = False
-                        break
-            if new_relators_ok:
-                extend(assigned, rest)
-            del assigned[name]
-
-    extend(dict(pinned), free_names)
+    solutions = list(_assignments(degree, pres.relators, pinned, [(n, sym) for n in free_names]))
     solutions.sort(key=lambda sol: tuple(sol[n].images for n in names))
     return tuple(solutions)
 
@@ -179,47 +189,17 @@ def minimal_extension_degree(
         raise ValueError("rho0 must be transitive")
     b0 = rho0.degree
     pres = braid_presentation(m_big)
-    names = list(pres.generators)
-    new_names = [n for n in names if n not in rho0.images]
+    new_names = [n for n in pres.generators if n not in rho0.images]
 
     for degree in range(max(b0, 1), cap_degree + 1):
-        rest = list(range(b0, degree))
-        rest_perms = [list(p) for p in itertools.permutations(rest)]
-        shared_choices: dict[str, list[Perm]] = {
-            n: [
-                Perm(tuple(rho0.images[n].images) + tuple(tail))
-                for tail in rest_perms
-            ]
-            for n in small_names
-        }
+        tails = list(itertools.permutations(range(b0, degree)))
         sym = [Perm(p) for p in itertools.permutations(range(degree))]
-        relator_support = [(r, set(r.generators())) for r in pres.relators]
-
-        found: dict[str, Perm] | None = None
-
-        def extend(assigned: dict[str, Perm], todo: list[str]) -> dict[str, Perm] | None:
-            if not todo:
-                rep = PermRep(degree, dict(assigned))
-                return dict(assigned) if rep.is_transitive() else None
-            name, rest_todo = todo[0], todo[1:]
-            done = set(assigned)
-            for p in shared_choices.get(name, None) or sym:
-                assigned[name] = p
-                ok = True
-                for relator, support in relator_support:
-                    if name in support and support <= done | {name}:
-                        if not _check_both_ways(assigned, relator, degree):
-                            ok = False
-                            break
-                if ok:
-                    hit = extend(assigned, rest_todo)
-                    if hit is not None:
-                        del assigned[name]
-                        return hit
-                del assigned[name]
-            return None
-
-        found = extend({}, small_names + new_names)
+        slots = [(n, [Perm(tuple(rho0.images[n].images) + tail) for tail in tails]) for n in small_names]
+        slots += [(n, sym) for n in new_names]
+        found = next(
+            (a for a in _assignments(degree, pres.relators, {}, slots) if PermRep(degree, a).is_transitive()),
+            None,
+        )
         if found is not None:
             return MinimalExtensionResult(degree, found)
     raise CapExceeded(f"no extension found up to degree cap {cap_degree}")

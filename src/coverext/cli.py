@@ -21,37 +21,6 @@ def _print_summary(report: Report, stream) -> None:
         print(f"  claim {claim['id']}: {claim['verdict']}", file=stream)
 
 
-def _maybe_debug_tables(report: Report, payload: dict, debug: bool) -> None:
-    if not debug or payload.get("kind") != "extension":
-        return
-    # Re-run the coset enumeration to show the table; cheap for these sizes.
-    from .cosets import Presentation, schreier_generators, todd_coxeter
-    from .extension import Inclusion
-    from .perms import Perm
-    from .reps import PermRep
-
-    rho0_raw = payload["rho0"]
-    rho0 = PermRep(
-        rho0_raw["degree"],
-        {n: Perm.from_images(v) for n, v in sorted(rho0_raw["images"].items())},
-    )
-    from .words import parse_word
-
-    gens = tuple(payload["inclusion"]["target"]["generators"])
-    target = Presentation(
-        gens,
-        tuple(parse_word(r, gens) for r in payload["inclusion"]["target"].get("relators", [])),
-    )
-    inclusion = Inclusion(
-        tuple(sorted(rho0.images)),
-        {n: parse_word(w, gens) for n, w in payload["inclusion"]["images"].items()},
-        target,
-    )
-    stab = schreier_generators(rho0, gen_order=inclusion.source_generators)
-    table = todd_coxeter(target, [inclusion.push(w) for w in stab.generators])
-    print(table.format_table(), file=sys.stderr)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     report = run_file(args.scenario)
     text = report.to_json()
@@ -62,11 +31,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     _print_summary(report, sys.stderr)
     print(f"  elapsed: {report.timings.get('total_s', 0.0):.3f}s", file=sys.stderr)
-    if args.debug_tables:
-        import json as _json
-
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            _maybe_debug_tables(report, _json.load(fh), True)
+    if args.debug_tables and report.table is not None:
+        print(report.table.format_table(), file=sys.stderr)
     return 0
 
 
@@ -109,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--debug-tables",
         action="store_true",
-        help="dump the coset table (extension scenarios) to stderr",
+        help="dump the run's coset table to stderr (extension runs that computed one)",
     )
     p_run.set_defaults(func=_cmd_run)
 

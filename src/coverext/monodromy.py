@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cpoly import BivarPoly, CPoly, discriminant, root_bound, roots, sylvester_resultant
+from .cpoly import BivarPoly, CPoly, discriminant, root_bound, roots
 from .errors import DegenerateCover, NumericFailure
 from .perms import Perm, generated_order
 

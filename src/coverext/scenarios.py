@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .braids import hom_search, minimal_extension_degree
-from .cosets import Presentation
+from .cosets import CosetTable, Presentation
 from .cpoly import BivarPoly
 from .errors import CapExceeded, SchemaError, SurjectivityError
 from .extension import Inclusion, two_sheet_unique, weak_extend
@@ -125,6 +125,34 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
     extra = sorted(set(obj) - allowed)
     if extra:
         raise _ctx(path, f"unknown fields {extra}; allowed: {sorted(allowed)}")
+
+
+def _as_rep(v: Any, path: str) -> PermRep:
+    raw = _as_dict(v, path)
+    _check_keys(raw, {"degree", "images"}, path)
+    degree = _as_int(_need(raw, "degree", path), path + ".degree")
+    images = _as_dict(_need(raw, "images", path), path + ".images")
+    return PermRep(
+        degree,
+        {name: _as_perm(p, f"{path}.images.{name}", degree) for name, p in sorted(images.items())},
+    )
+
+
+def _as_presentation(v: Any, path: str) -> Presentation:
+    raw = _as_dict(v, path)
+    _check_keys(raw, {"generators", "relators"}, path)
+    gens = tuple(
+        _as_str(g, f"{path}.generators[{i}]")
+        for i, g in enumerate(_as_list(_need(raw, "generators", path), path + ".generators"))
+    )
+    relators = tuple(
+        _as_word(r, f"{path}.relators[{i}]", gens)
+        for i, r in enumerate(_as_list(raw.get("relators", []), path + ".relators"))
+    )
+    try:
+        return Presentation(gens, relators)
+    except ValueError as exc:
+        raise _ctx(path, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +258,12 @@ def _evaluate_claims(claims: list[dict], results: dict) -> list[dict]:
 # ---------------------------------------------------------------------------
 # kind runners
 
+# (status, results, table): only an extension run that computed a coset table
+# returns one, and it never enters the canonical report.
+_Outcome = tuple[str, dict, CosetTable | None]
 
-def _run_extension(payload: dict) -> tuple[str, dict]:
+
+def _run_extension(payload: dict) -> _Outcome:
     path = "scenario"
     allowed = {
         "kind", "name", "description", "claims", "rho0", "inclusion",
@@ -239,34 +271,12 @@ def _run_extension(payload: dict) -> tuple[str, dict]:
         "check_two_sheet_uniqueness_up_to",
     }
     _check_keys(payload, allowed, path)
-    rho0_raw = _as_dict(_need(payload, "rho0", path), path + ".rho0")
-    _check_keys(rho0_raw, {"degree", "images"}, path + ".rho0")
-    degree = _as_int(_need(rho0_raw, "degree", path + ".rho0"), path + ".rho0.degree")
-    images_raw = _as_dict(_need(rho0_raw, "images", path + ".rho0"), path + ".rho0.images")
-    rho0 = PermRep(
-        degree,
-        {
-            name: _as_perm(v, f"{path}.rho0.images.{name}", degree)
-            for name, v in sorted(images_raw.items())
-        },
-    )
+    rho0 = _as_rep(_need(payload, "rho0", path), path + ".rho0")
 
     inc_raw = _as_dict(_need(payload, "inclusion", path), path + ".inclusion")
     _check_keys(inc_raw, {"images", "target"}, path + ".inclusion")
-    target_raw = _as_dict(_need(inc_raw, "target", path + ".inclusion"), path + ".inclusion.target")
-    _check_keys(target_raw, {"generators", "relators"}, path + ".inclusion.target")
-    gens = tuple(
-        _as_str(g, f"{path}.inclusion.target.generators[{i}]")
-        for i, g in enumerate(_as_list(_need(target_raw, "generators", path), path + ".inclusion.target.generators"))
-    )
-    relators = tuple(
-        _as_word(r, f"{path}.inclusion.target.relators[{i}]", gens)
-        for i, r in enumerate(_as_list(target_raw.get("relators", []), path + ".inclusion.target.relators"))
-    )
-    try:
-        target = Presentation(gens, relators)
-    except ValueError as exc:
-        raise _ctx(path + ".inclusion.target", str(exc)) from exc
+    target = _as_presentation(_need(inc_raw, "target", path + ".inclusion"), path + ".inclusion.target")
+    gens = target.generators
     inc_images_raw = _as_dict(_need(inc_raw, "images", path + ".inclusion"), path + ".inclusion.images")
     source_names = tuple(sorted(rho0.images))
     if set(inc_images_raw) != set(source_names):
@@ -301,9 +311,9 @@ def _run_extension(payload: dict) -> tuple[str, dict]:
     try:
         res = weak_extend(rho0, inclusion, surjectivity_assumed=assumed, cap=cap)
     except CapExceeded as exc:
-        return "cap-exceeded", {"error": str(exc)}
+        return "cap-exceeded", {"error": str(exc)}, None
     except SurjectivityError as exc:
-        return "surjectivity-failed", {"error": str(exc)}
+        return "surjectivity-failed", {"error": str(exc)}, None
 
     results: dict[str, Any] = {
         "b0": res.b0,
@@ -331,10 +341,10 @@ def _run_extension(payload: dict) -> tuple[str, dict]:
             "k_max": uniq_up_to,
             "all_unique": all(two_sheet_unique(k) for k in range(1, uniq_up_to + 1)),
         }
-    return "ok", results
+    return "ok", results, res.table
 
 
-def _run_braid_search(payload: dict) -> tuple[str, dict]:
+def _run_braid_search(payload: dict) -> _Outcome:
     path = "scenario"
     mode = _as_str(_need(payload, "mode", path), path + ".mode")
     if mode == "homs":
@@ -350,7 +360,7 @@ def _run_braid_search(payload: dict) -> tuple[str, dict]:
         try:
             sols = hom_search(strands, degree, pinned, cap=cap)
         except CapExceeded as exc:
-            return "cap-exceeded", {"error": str(exc)}
+            return "cap-exceeded", {"error": str(exc)}, None
         except ValueError as exc:
             raise _ctx(path, str(exc)) from exc
         return "ok", {
@@ -360,30 +370,23 @@ def _run_braid_search(payload: dict) -> tuple[str, dict]:
             "solutions": [
                 {name: _perm2j(sol[name]) for name in sorted(sol)} for sol in sols
             ],
-        }
+        }, None
     if mode == "minimal-extension":
         allowed = {"kind", "name", "description", "claims", "mode", "strands", "rho0", "cap_degree"}
         _check_keys(payload, allowed, path)
         strands = _as_int(_need(payload, "strands", path), path + ".strands")
-        rho0_raw = _as_dict(_need(payload, "rho0", path), path + ".rho0")
-        _check_keys(rho0_raw, {"degree", "images"}, path + ".rho0")
-        degree = _as_int(_need(rho0_raw, "degree", path + ".rho0"), path + ".rho0.degree")
-        images_raw = _as_dict(_need(rho0_raw, "images", path + ".rho0"), path + ".rho0.images")
-        rho0 = PermRep(
-            degree,
-            {name: _as_perm(v, f"{path}.rho0.images.{name}", degree) for name, v in sorted(images_raw.items())},
-        )
+        rho0 = _as_rep(_need(payload, "rho0", path), path + ".rho0")
         cap_degree = _as_int(payload.get("cap_degree", 8), path + ".cap_degree")
         try:
             res = minimal_extension_degree(rho0, strands, cap_degree=cap_degree)
         except CapExceeded as exc:
-            return "cap-exceeded", {"error": str(exc)}
+            return "cap-exceeded", {"error": str(exc)}, None
         except ValueError as exc:
             raise _ctx(path, str(exc)) from exc
         return "ok", {
             "minimal_degree": res.degree,
             "witness": {name: _perm2j(res.images[name]) for name in sorted(res.images)},
-        }
+        }, None
     raise _ctx(path + ".mode", f"unknown mode {mode!r}; expected 'homs' or 'minimal-extension'")
 
 
@@ -403,7 +406,7 @@ def _as_bivar(v: Any, path: str) -> BivarPoly:
     return BivarPoly.from_lists(rows)
 
 
-def _run_slice_monodromy(payload: dict) -> tuple[str, dict]:
+def _run_slice_monodromy(payload: dict) -> _Outcome:
     path = "scenario"
     allowed = {
         "kind", "name", "description", "claims", "cover", "basepoint",
@@ -446,10 +449,10 @@ def _run_slice_monodromy(payload: dict) -> tuple[str, dict]:
         ]
     elif payload.get("separation_points"):
         raise _ctx(path + ".separation_points", "separation points need a 'function'")
-    return "ok", results
+    return "ok", results, None
 
 
-def _run_hartogs_check(payload: dict) -> tuple[str, dict]:
+def _run_hartogs_check(payload: dict) -> _Outcome:
     path = "scenario"
     allowed = {"kind", "name", "description", "claims", "r", "cases"}
     _check_keys(payload, allowed, path)
@@ -502,10 +505,10 @@ def _run_hartogs_check(payload: dict) -> tuple[str, dict]:
         "cases": cases_out,
         "all_signatures_expected": all_expected,
         "max_negative_deviation_from_minus_2": worst_dev,
-    }
+    }, None
 
 
-_RUNNERS: dict[str, Callable[[dict], tuple[str, dict]]] = {
+_RUNNERS: dict[str, Callable[[dict], _Outcome]] = {
     "extension": _run_extension,
     "braid-search": _run_braid_search,
     "slice-monodromy": _run_slice_monodromy,
@@ -527,9 +530,10 @@ class Report:
     results: dict
     claims: list[dict]
     timings: dict = field(default_factory=dict, compare=False)
+    table: CosetTable | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> str:
-        """Canonical bytes: timings are deliberately left out."""
+        """Canonical bytes: timings and the coset table are deliberately left out."""
         payload = {
             "scenario": self.scenario,
             "kind": self.kind,
@@ -551,21 +555,17 @@ def run_payload(payload: Any) -> Report:
         _as_str(top["description"], "scenario.description")
     claims = _validate_claims(top.get("claims", []), "scenario.claims")
     t0 = time.perf_counter()
-    status, results = _RUNNERS[kind](top)
+    status, results, table = _RUNNERS[kind](top)
     elapsed = time.perf_counter() - t0
-    evaluated = _evaluate_claims(claims, results) if status == "ok" else [
-        {**c_base, "expected": None, "computed": None, "verdict": VERDICT_NOT_CLAIMED}
-        for c_base in (
-            {"id": c["id"], "source": c["source"], "statement": c["statement"]} for c in claims
-        )
-    ]
     return Report(
         scenario=name,
         kind=kind,
         status=status,
         results=results,
-        claims=evaluated,
+        # Only an ok run has results to check; every other lookup misses.
+        claims=_evaluate_claims(claims, results if status == "ok" else {}),
         timings={"total_s": elapsed},
+        table=table,
     )
 
 

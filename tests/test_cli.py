@@ -1,8 +1,18 @@
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
+import time
+
+import pytest
+
+from coverext.cosets import Presentation
+from coverext.extension import Inclusion, weak_extend
+from coverext.perms import Perm
+from coverext.reps import PermRep
+from coverext.words import parse_word
 
 
 def coverext(*args, cwd=None):
@@ -70,6 +80,44 @@ def test_run_debug_tables(tmp_path):
     proc = coverext("run", path, "--debug-tables")
     assert proc.returncode == 0
     assert "coset" in proc.stderr  # table header reached stderr
+    rho0 = PermRep(3, {"alpha1": Perm.from_images([0, 2, 1]), "alpha2": Perm.from_images([1, 0, 2])})
+    inclusion = Inclusion(
+        ("alpha1", "alpha2"),
+        {"alpha1": parse_word("gamma", ["gamma"]), "alpha2": parse_word("gamma^-1", ["gamma"])},
+        Presentation(("gamma",)),
+    )
+    assert proc.stderr.endswith(weak_extend(rho0, inclusion).table.format_table() + "\n")
+
+
+def collapsing_inclusion(**overrides):
+    """TINY into a free group on two letters, hitting only the first one."""
+    payload = copy.deepcopy(TINY)
+    payload["rho0"]["images"] = {"alpha1": [1, 0, 2], "alpha2": [0, 2, 1]}
+    payload["inclusion"] = {
+        "images": {"alpha1": "gamma1", "alpha2": "gamma1"},
+        "target": {"generators": ["gamma1", "gamma2"], "relators": []},
+    }
+    payload.update(overrides)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "overrides, status",
+    [
+        ({"cap": 2, "surjectivity_assumed": False}, "cap-exceeded"),
+        ({"surjectivity_assumed": True}, "surjectivity-failed"),
+    ],
+)
+def test_debug_tables_without_a_table(tmp_path, overrides, status):
+    path = write_scenario(tmp_path, collapsing_inclusion(**overrides))
+    t0 = time.perf_counter()
+    proc = coverext("run", path, "--debug-tables")
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == status
+    assert f"tiny: status={status}" in proc.stderr
+    assert "coset" not in proc.stderr
+    assert elapsed < 10.0  # no second enumeration at the default cap
 
 
 def test_schema_failures_exit_2(tmp_path):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from coverext.scenarios import (
     run_file,
     run_payload,
 )
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "paper_digests.json"
 
 BUNDLED = [
     "braid_4_3_search",
@@ -82,6 +86,15 @@ def test_schema_rejections():
     del bad["inclusion"]["images"]["alpha2"]
     with pytest.raises(SchemaError, match="one image per"):
         run_payload(bad)
+    bad = small_extension()
+    del bad["inclusion"]["target"]["generators"]
+    with pytest.raises(
+        SchemaError, match=r"at scenario\.inclusion\.target: missing required field 'generators'"
+    ):
+        run_payload(bad)
+    bad_rho0 = {"degree": 3, "images": {"s1": [0, 0, 1], "s2": [0, 2, 1]}}
+    with pytest.raises(SchemaError, match=r"at scenario\.rho0\.images\.s1"):
+        run_payload({"kind": "braid-search", "mode": "minimal-extension", "strands": 4, "rho0": bad_rho0})
     with pytest.raises(SchemaError, match="unknown mode"):
         run_payload({"kind": "braid-search", "mode": "bogus"})
     with pytest.raises(SchemaError, match="separation points need"):
@@ -212,3 +225,19 @@ def test_payload_not_mutated():
     snapshot = copy.deepcopy(payload)
     run_payload(payload)
     assert payload == snapshot
+
+
+def test_bundled_reports_match_recorded_digests():
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert sorted(recorded) == BUNDLED
+    for name in BUNDLED:
+        rep = run_bundled(name)
+        digest = hashlib.sha256(rep.to_json().encode("utf-8")).hexdigest()
+        assert (rep.status, digest) == (recorded[name]["status"], recorded[name]["sha256"]), name
+
+
+def test_report_keeps_the_coset_table_off_the_wire():
+    rep = run_payload(small_extension())
+    assert rep.table is not None and rep.table.index == rep.results["b1"]
+    assert "table" not in json.loads(rep.to_json())
+    assert run_bundled("braid_4_3_search").table is None
