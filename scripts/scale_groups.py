@@ -8,29 +8,35 @@ sheet count).  The layers are linear in the sheet count up to the length of
 the transversal words, so ten times the sheets should cost a little over ten
 times the time.
 
+It then times ``todd_coxeter`` on the Coxeter presentations of S7 and S8 over
+the trivial subgroup (5040 and 40320 cosets, one sweep each).  A wrong
+``b1`` or coset count ends the script with a non-zero exit status.
+
     python scripts/scale_groups.py
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from coverext.cosets import Presentation, schreier_generators
+from coverext.cosets import Presentation, schreier_generators, todd_coxeter
 from coverext.extension import Inclusion, weak_extend
 from coverext.perms import Perm
 from coverext.reps import PermRep
 from coverext.words import Word
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import random_transitive_images  # noqa: E402
+from oracles import coxeter_presentation, random_transitive_images  # noqa: E402
 
 SIZES = (2000, 20000, 100000)
 GENERATORS = 2
 SEED = 2015
+COXETER = (7, 8)
 
 
 def timed(fn):
@@ -52,6 +58,13 @@ def main() -> None:
         if not transitive or res.b1 != b:
             raise SystemExit(f"wrong result at {b} sheets: transitive={transitive}, b1={res.b1}")
         print(f"{b:>8} {t_trans:>16.4f} {t_schreier:>11.3f} {t_weak:>14.3f} {res.b1:>8}", flush=True)
+    print(f"\n{'group':>8} {'todd_coxeter_s':>15} {'index':>8}")
+    for n in COXETER:
+        pres = coxeter_presentation(n)
+        table, t_tc = timed(lambda: todd_coxeter(pres))
+        if table.index != math.factorial(n):
+            raise SystemExit(f"wrong index for S{n}: {table.index} != {math.factorial(n)}")
+        print(f"{'S' + str(n):>8} {t_tc:>15.3f} {table.index:>8}", flush=True)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ Two complementary routes between subgroups and permutation actions:
   per (sheet, generator) edge, spanning-tree edges dropped).
 * ``todd_coxeter`` enumerates cosets of a finitely generated subgroup of a
   finitely presented group and returns the coset table together with the
-  induced permutation action.  Deterministic; bounded by a live-coset cap.
+  induced permutation action: HLT with lookahead, in one sweep (Holt, Eick &
+  O'Brien, *Handbook of Computational Group Theory*, 2005, §5.1).
+  Deterministic; bounded by a live-coset cap.
 
 Cosets are right cosets, numbered from 0 (the subgroup itself), and the
 action is on the right: ``table.act(c, w)`` is the coset of ``rep(c) * w``.
@@ -15,7 +17,6 @@ action is on the right: ``table.act(c, w)`` is the coset of ``rep(c) * w``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -164,13 +165,15 @@ class _CapHit(Exception):
 
 
 class _Enumerator:
-    """Coset enumeration with relator scanning, coincidences and lookahead."""
+    """HLT enumeration; live rows point only at live cosets, and
+    ``rows[a][col] == b`` iff ``rows[b][col ^ 1] == a``."""
 
     def __init__(self, pres: Presentation, subgroup: Sequence[Word], cap: int) -> None:
         self.pres = pres
         self.cap = cap
         self.ncols = 2 * len(pres.generators)
         self.col_of = _column_of(pres.generators)
+        self.letters = [Word.gen(g, step) for g in pres.generators for step in (1, -1)]
         self.rows: list[list[int | None]] = [[None] * self.ncols]
         self.parent: list[int] = [0]
         self.words: list[Word] = [Word.identity()]
@@ -194,74 +197,65 @@ class _Enumerator:
             self.parent[c], c = root, self.parent[c]
         return root
 
-    def _define(self, a: int, col: int) -> int:
+    def _define(self, a: int, col: int) -> None:
         if self.alive >= self.cap:
             raise _CapHit
         b = len(self.rows)
         self.rows.append([None] * self.ncols)
         self.parent.append(b)
-        self.words.append(self.words[a] * self._letter(col))
+        self.words.append(self.words[a] * self.letters[col])
         self.alive += 1
         self.rows[a][col] = b
         self.rows[b][col ^ 1] = a
-        return b
 
-    def _letter(self, col: int) -> Word:
-        name = self.pres.generators[col // 2]
-        return Word.gen(name, 1 if col % 2 == 0 else -1)
+    def _merge(self, a: int, b: int, queue: list[int]) -> None:
+        """Identify the classes of ``a`` and ``b``; the larger representative dies."""
+        a, b = sorted((self.rep(a), self.rep(b)))
+        if a != b:
+            self.parent[b] = a
+            self.alive -= 1
+            queue.append(b)
 
     def _coincide(self, a: int, b: int) -> None:
-        queue = deque([(a, b)])
-        while queue:
-            x, y = queue.popleft()
-            x, y = self.rep(x), self.rep(y)
-            if x == y:
-                continue
-            if x > y:
-                x, y = y, x
-            self.parent[y] = x
-            self.alive -= 1
+        """Holt's COINCIDENCE: move each dead coset's entries onto its representative."""
+        queue: list[int] = []
+        self._merge(a, b, queue)
+        for y in queue:  # the queue grows while it is walked
             for col in range(self.ncols):
                 d = self.rows[y][col]
                 if d is None:
                     continue
-                self.rows[y][col] = None
-                if self.rows[d][col ^ 1] == y:
-                    self.rows[d][col ^ 1] = None
-                d = self.rep(d)
-                e = self.rows[x][col]
-                if e is None:
-                    self.rows[x][col] = d
-                    if self.rows[d][col ^ 1] is None:
-                        self.rows[d][col ^ 1] = x
-                    else:
-                        queue.append((self.rows[d][col ^ 1], x))
+                self.rows[d][col ^ 1] = None
+                mu, nu = self.rep(y), self.rep(d)
+                if self.rows[mu][col] is not None:
+                    self._merge(nu, self.rows[mu][col], queue)  # type: ignore[arg-type]
+                elif self.rows[nu][col ^ 1] is not None:
+                    self._merge(mu, self.rows[nu][col ^ 1], queue)  # type: ignore[arg-type]
                 else:
-                    queue.append((self.rep(e), d))
+                    self.rows[mu][col] = nu
+                    self.rows[nu][col ^ 1] = mu
 
     def _scan(self, a: int, cols: Sequence[int], fill: bool) -> None:
+        """Scan ``cols`` at live coset ``a``; with ``fill``, define cosets to bridge a gap."""
         i, j = 0, len(cols) - 1
         f = b = a
         while True:
             while i <= j and self.rows[f][cols[i]] is not None:
-                f = self.rep(self.rows[f][cols[i]])  # type: ignore[arg-type]
+                f = self.rows[f][cols[i]]  # type: ignore[assignment]
                 i += 1
             if i > j:
                 if f != b:
                     self._coincide(f, b)
                 return
             while j >= i and self.rows[b][cols[j] ^ 1] is not None:
-                b = self.rep(self.rows[b][cols[j] ^ 1])  # type: ignore[arg-type]
+                b = self.rows[b][cols[j] ^ 1]  # type: ignore[assignment]
                 j -= 1
             if j < i:
                 self._coincide(f, b)
                 return
             if j == i:
                 self.rows[f][cols[i]] = b
-                if self.rows[b][cols[i] ^ 1] is None:
-                    self.rows[b][cols[i] ^ 1] = f
-                elif self.rep(self.rows[b][cols[i] ^ 1]) != self.rep(f):  # type: ignore[arg-type]
-                    self._coincide(self.rows[b][cols[i] ^ 1], f)  # type: ignore[arg-type]
+                self.rows[b][cols[i] ^ 1] = f
                 return
             if not fill:
                 return
@@ -269,53 +263,43 @@ class _Enumerator:
 
     def _lookahead(self) -> None:
         for c in range(len(self.rows)):
-            if self.rep(c) != c:
+            if self.parent[c] != c:
                 continue
             for cols in self.relator_cols:
                 self._scan(c, cols, fill=False)
-                if self.rep(c) != c:
+                if self.parent[c] != c:
                     break
 
-    def _compact(self) -> None:
-        live = [c for c in range(len(self.rows)) if self.rep(c) == c]
+    def _compact(self) -> dict[int, int]:
+        """Renumber the live cosets in order; returns the old-to-new map."""
+        live = [c for c in range(len(self.rows)) if self.parent[c] == c]
         old2new = {c: i for i, c in enumerate(live)}
-        new_rows: list[list[int | None]] = []
-        for c in live:
-            new_rows.append([None if d is None else old2new[self.rep(d)] for d in self.rows[c]])
-        self.rows = new_rows
+        self.rows = [[None if d is None else old2new[d] for d in self.rows[c]] for c in live]
         self.words = [self.words[c] for c in live]
         self.parent = list(range(len(live)))
         self.alive = len(live)
-        self._old2new = old2new
+        return old2new
 
-    def _enumerate(self) -> None:
-        """One HLT sweep over the table from coset 0, with lookahead at the cap."""
-
-        def scans_at(c: int, include_subgroup: bool) -> None:
-            if include_subgroup:
-                for cols in self.subgroup_cols:
-                    self._scan(self.rep(c), cols, fill=True)
-            for cols in self.relator_cols:
-                c2 = self.rep(c)
-                self._scan(c2, cols, fill=True)
-            c2 = self.rep(c)
-            for col in range(self.ncols):
-                if self.rows[c2][col] is None:
-                    self._define(c2, col)
-
+    def run(self) -> CosetTable:
         alpha = 0
         while alpha < len(self.rows):
-            if self.rep(alpha) != alpha:
+            if self.parent[alpha] != alpha:
                 alpha += 1
                 continue
             try:
-                scans_at(alpha, include_subgroup=(alpha == 0))
+                for cols in self.subgroup_cols if alpha == 0 else ():
+                    self._scan(0, cols, fill=True)
+                for cols in self.relator_cols:
+                    self._scan(self.rep(alpha), cols, fill=True)
+                c = self.rep(alpha)
+                for col in range(self.ncols):
+                    if self.rows[c][col] is None:
+                        self._define(c, col)
             except _CapHit:
                 before = self.alive
                 self._lookahead()
-                rep_old = self.rep(alpha)
-                self._compact()
-                alpha = self._old2new[rep_old]
+                c = self.rep(alpha)
+                alpha = self._compact()[c]
                 if self.alive >= self.cap and self.alive >= before:
                     raise CapExceeded(
                         f"coset enumeration exceeded the cap of {self.cap} live cosets "
@@ -324,27 +308,8 @@ class _Enumerator:
                     )
                 continue
             alpha += 1
-
-    def _stable(self) -> bool:
-        """Whether every scan closes on the compacted table."""
-        for c in range(len(self.rows)):
-            for cols in ([*self.subgroup_cols] if c == 0 else []) + self.relator_cols:
-                i, f = 0, c
-                while i < len(cols) and self.rows[f][cols[i]] is not None:
-                    f = self.rows[f][cols[i]]  # type: ignore[assignment]
-                    i += 1
-                if i < len(cols) or f != c:
-                    return False
-        return True
-
-    def run(self) -> CosetTable:
-        # A merge can invalidate an earlier scan; sweep again until none does.
-        while True:
-            self._enumerate()
-            self._compact()
-            if self._stable():
-                break
-        rows = tuple(tuple(int(d) for d in row) for row in self.rows)  # type: ignore[union-attr, arg-type]
+        self._compact()
+        rows = tuple(tuple(int(d) for d in row) for row in self.rows)  # type: ignore[arg-type]
         return CosetTable(self.pres.generators, rows, tuple(self.words))
 
 
@@ -353,7 +318,9 @@ def todd_coxeter(
     subgroup: Sequence[Word] = (),
     cap: int = 1_000_000,
 ) -> CosetTable:
-    """Enumerate cosets of ``<subgroup>`` in the presented group.
+    """Enumerate cosets of ``<subgroup>`` in the presented group by HLT with
+    lookahead; the coincidence procedure of Holt, Eick & O'Brien (2005, §5.1)
+    keeps the table consistent, so one sweep closes every relator.
 
     Returns the completed table (coset 0 = subgroup) with one representative
     word per coset.  Raises :class:`CapExceeded` when more than ``cap`` live

@@ -399,8 +399,8 @@ class MonodromyResult:
         return self.perms[k]
 
     def closure_order(self, cap: int = 1_000_000) -> int:
-        """Order of the permutation group the lassos generate."""
-        return generated_order(list(self.perms), cap=cap)
+        """Order of the permutation group the lassos generate (1 when unbranched)."""
+        return generated_order(list(self.perms), cap=cap) if self.perms else 1
 
 
 def full_monodromy(

@@ -292,6 +292,8 @@ def _run_extension(payload: dict) -> _Outcome:
 
     assumed = _as_bool(payload.get("surjectivity_assumed", True), path + ".surjectivity_assumed")
     cap = _as_int(payload.get("cap", 1_000_000), path + ".cap")
+    if cap < 1:
+        raise _ctx(path + ".cap", f"expected a positive integer, got {cap}")
 
     pair_specs = []
     for i, pair in enumerate(_as_list(payload.get("path_class_pairs", []), path + ".path_class_pairs")):

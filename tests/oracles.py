@@ -5,12 +5,14 @@ numpy's companion matrix, resultants and discriminants from root-product
 formulas, group-theoretic counts from breadth-first search on raw index
 tuples.  The word oracles use only ``Word`` multiplication and inversion, one
 factor at a time, as the reference for batched substitution and powers.
+Coset tables are checked entry by entry on their raw rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from coverext.cosets import CosetTable, Presentation
 from coverext.words import Word
 
 
@@ -141,6 +143,46 @@ def random_transitive_images(rng: np.random.Generator, degree: int, k: int) -> l
         images = [tuple(int(x) for x in rng.permutation(degree)) for _ in range(k)]
         if orbit_size(images, 0) == degree:
             return images
+
+
+def coxeter_presentation(n: int) -> Presentation:
+    """Coxeter presentation of S_n on s_i = (i-1 i), i = 1..n-1: s_i^2,
+    (s_i s_{i+1})^3 and (s_i s_j)^2 for |i - j| > 1."""
+    gens = tuple(f"s{i}" for i in range(1, n))
+    rels = []
+    for i in range(1, n):
+        a = Word.gen(f"s{i}")
+        rels.append(a * a)
+        if i + 1 < n:
+            rels.append(power_iterated(a * Word.gen(f"s{i + 1}"), 3))
+        for j in range(i + 2, n):
+            rels.append(power_iterated(a * Word.gen(f"s{j}"), 2))
+    return Presentation(gens, tuple(rels))
+
+
+def coset_table_closes(table: CosetTable, relators, subgroup) -> bool:
+    """Whether a coset table is complete and consistent, closes every relator
+    at every coset and fixes coset 0 under every subgroup word, read entry by
+    entry from the raw rows."""
+    col = {}
+    for i, g in enumerate(table.gen_names):
+        col[(g, 1)], col[(g, -1)] = 2 * i, 2 * i + 1
+    n = len(table.rows)
+    for a, row in enumerate(table.rows):
+        if len(row) != len(col):
+            return False
+        for c, b in enumerate(row):
+            if not (isinstance(b, int) and 0 <= b < n and table.rows[b][c ^ 1] == a):
+                return False
+
+    def walk(x: int, word: Word) -> int:
+        for letter in word.letters():
+            x = table.rows[x][col[letter]]
+        return x
+
+    return all(walk(c, r) == c for r in relators for c in range(n)) and all(
+        walk(0, w) == 0 for w in subgroup
+    )
 
 
 def fd_complex_hessian_loop(f, w: np.ndarray, h: float) -> np.ndarray:

@@ -15,12 +15,13 @@ from coverext.reps import PermRep
 from coverext.words import parse_word
 
 
-def coverext(*args, cwd=None):
+def coverext(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "coverext.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -118,6 +119,27 @@ def test_debug_tables_without_a_table(tmp_path, overrides, status):
     assert f"tiny: status={status}" in proc.stderr
     assert "coset" not in proc.stderr
     assert elapsed < 10.0  # no second enumeration at the default cap
+
+
+def test_extension_into_a_collapsing_target_finishes(tmp_path):
+    """The target is trivial, but its coset sweep defines cosets and merges
+    them back; an enumerator that loses deductions there never stops (the
+    live count stays under the cap), so a timeout turns a hang into a failure."""
+    payload = {
+        "kind": "extension",
+        "name": "collapse",
+        "rho0": {"degree": 2, "images": {"a": [1, 0]}},
+        "inclusion": {
+            "images": {"a": "x"},
+            "target": {"generators": ["x", "y"], "relators": ["y^-2 x^-1 y", "y^2 x^-1", "x^4"]},
+        },
+        "cap": 1000,
+    }
+    proc = coverext("run", write_scenario(tmp_path, payload), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results["b1"] == 1
+    assert results["fiber_map"] == [0, 0]
 
 
 def test_schema_failures_exit_2(tmp_path):

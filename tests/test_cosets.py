@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,14 @@ from coverext.perms import Perm
 from coverext.reps import PermRep
 from coverext.words import Word, format_word, parse_word
 
-from oracles import chase, orbit_order, orbit_size, random_transitive_images
+from oracles import (
+    chase,
+    coset_table_closes,
+    coxeter_presentation,
+    orbit_order,
+    orbit_size,
+    random_transitive_images,
+)
 
 S3 = Presentation(
     ("x", "y"),
@@ -212,3 +221,74 @@ def test_coset_table_rejects_unknown_generator():
     table = todd_coxeter(S3, [parse_word("x")])
     with pytest.raises(ValueError):
         table.act(0, parse_word("z"))
+
+
+def _order(images: tuple[int, ...]) -> int:
+    power, k = images, 1
+    while power != tuple(range(len(images))):
+        power, k = tuple(images[x] for x in power), k + 1
+    return k
+
+
+def coxeter_cases():
+    """(presentation, subgroup, cap, index): S3-S6 over random <s_i s_j>."""
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 5, 6):
+        pres = coxeter_presentation(n)
+        for _ in range(4):
+            i, j = (int(x) for x in rng.integers(1, n, size=2))
+            s_i, s_j = list(range(n)), list(range(n))
+            s_i[i - 1], s_i[i] = s_i[i], s_i[i - 1]
+            s_j[j - 1], s_j[j] = s_j[j], s_j[j - 1]
+            index = math.factorial(n) // _order(tuple(s_j[x] for x in s_i))
+            for cap in (10**6, 200, 60):
+                yield pres, [parse_word(f"s{i} s{j}")], cap, index
+
+
+def _random_word(rng: np.random.Generator, names: tuple[str, ...]) -> Word:
+    """One to three syllables, exponents in -3..5 without 0."""
+    exps = [-3, -2, -1, 1, 2, 3, 4, 5]
+    return Word(tuple((names[int(rng.integers(0, len(names)))], exps[int(rng.integers(0, len(exps)))])
+                      for _ in range(int(rng.integers(1, 4)))))
+
+
+# Presentations of the trivial group on which the sweep defines cosets that
+# later merge back into coset 0; an enumerator that loses deductions in a
+# coincidence keeps defining and merging them and never finishes.
+COLLAPSING = [
+    (("a^2 b^2", "b^-3", "a^5"), ()),
+    (("b^-2 a^-1 b", "b^2 a^-1", "a^4"), ("a^2",)),
+    (("b^2 a^2 b^2", "a^-1 b^-3", "b^5"), ()),
+    (("b^5 a b^2", "a^6"), ("b^4 a^-1",)),
+]
+
+
+def two_generator_cases():
+    """(presentation, subgroup, cap, index or None): the collapsing inputs
+    (index 1), then random relators plus one power relator, random subgroups."""
+    names = ("a", "b")
+    cases = [(tuple(map(parse_word, rels)), list(map(parse_word, sub)), 1) for rels, sub in COLLAPSING]
+    rng = np.random.default_rng(2005)
+    for _ in range(150):
+        rels = tuple(_random_word(rng, names) for _ in range(int(rng.integers(1, 3))))
+        power = Word.gen(names[int(rng.integers(0, 2))], int(rng.integers(2, 7)))
+        sub = [_random_word(rng, names) for _ in range(int(rng.integers(0, 3)))]
+        cases.append((rels + (power,), sub, None))
+    for rels, sub, index in cases:
+        for cap in (2000, 100, 40):
+            yield Presentation(names, rels), sub, cap, index
+
+
+@pytest.mark.parametrize("cases", [coxeter_cases, two_generator_cases])
+def test_enumeration_closes_or_hits_the_cap(cases):
+    for pres, sub, cap, index in cases():
+        try:
+            table = todd_coxeter(pres, sub, cap=cap)
+        except CapExceeded:
+            assert index != 1 and cap < 10**6, "one coset, or the default cap, must suffice"
+            continue
+        assert coset_table_closes(table, pres.relators, sub)
+        for c, w in enumerate(table.rep_words):
+            assert table.act(0, w) == c
+        if index is not None:
+            assert table.index == index

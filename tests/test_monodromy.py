@@ -18,6 +18,7 @@ from coverext.monodromy import (
     weierstrass_poly_of_function,
     z_discriminant,
 )
+from coverext.scenarios import run_payload
 
 # w^3 + (1/4)^(1/3) w + z/sqrt(27): discriminant is z^2 - 1, branch points -1 and 1
 C1 = 0.25 ** (1 / 3)
@@ -186,6 +187,18 @@ def test_track_to_without_branch_points():
     fiber0, end, base = track_to(flat, 3.0 + 1.0j, basepoint=0.0)
     assert abs(fiber0[0]) < 1e-12
     assert abs(end[0] - (3.0 + 1.0j)) < 1e-9
+
+
+def test_unbranched_cover_generates_the_trivial_group():
+    flat = CoverSlice(BivarPoly.from_lists([[0.0, -1.0], [1.0]]))  # w = z
+    square = CoverSlice(BivarPoly.from_lists([[-1.0], [0.0], [1.0]]))  # w^2 = 1
+    for cover in (flat, square):
+        mono = full_monodromy(cover)
+        assert mono.perms == ()
+        assert mono.closure_order() == 1
+    cover = {"w_coeffs": [[[-1.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0]]]}  # w^2 = 1
+    report = run_payload({"kind": "slice-monodromy", "name": "unbranched", "cover": cover})
+    assert report.results["closure_order"] == 1
 
 
 def test_basepoint_on_branch_point_rejected():

@@ -70,6 +70,8 @@ def test_schema_rejections():
         run_payload(small_extension([claim("b1", equals=1, close_to=1.0)]))
     with pytest.raises(SchemaError, match="exactly one"):
         run_payload(small_extension([claim("b1")]))
+    with pytest.raises(SchemaError, match=r"at scenario\.cap: expected a positive integer, got 0"):
+        run_payload(small_extension(cap=0))
     bad = small_extension()
     bad["rho0"]["images"]["alpha1"] = [0, 0, 1]
     with pytest.raises(SchemaError, match="alpha1"):
