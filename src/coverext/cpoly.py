@@ -85,6 +85,12 @@ class CPoly:
         return f"CPoly({list(self.coeffs)})"
 
 
+def eval_scale(p: CPoly, z: complex) -> float:
+    """Size of the terms of p at z, sum |a_k| max(1, |z|)^k: the scale that
+    rounding errors in evaluating p(z) are measured against."""
+    return sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(p.coeffs))
+
+
 def root_bound(p: CPoly) -> float:
     """Radius bounding all roots: max(1, sum |a_k / a_d|)."""
     if p.degree < 1:
@@ -145,8 +151,12 @@ def roots(
             stale = 0
         else:
             stale += 1
+            # stop on stagnation only once every iterate is a root to well
+            # within the acceptance test; slow clusters may still converge
             if stale >= 12:
-                break
+                if all(abs(q(z)) <= 1e-3 * residual_tol * eval_scale(q, z) for z in zs):
+                    break
+                stale = 0
 
     polished = []
     for z in zs:
@@ -169,7 +179,7 @@ def roots(
 
 def _check_residuals(p: CPoly, rs: Sequence[complex], residual_tol: float) -> None:
     for r in rs:
-        scale = sum(abs(c) * max(1.0, abs(r)) ** k for k, c in enumerate(p.coeffs))
+        scale = eval_scale(p, r)
         if abs(p(r)) > residual_tol * scale:
             raise NumericFailure(
                 f"root candidate {r} has residual {abs(p(r)):.3e} above "

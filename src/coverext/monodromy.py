@@ -3,11 +3,14 @@
 A slice is a monic polynomial ``P(z, w)`` of degree ``b`` in ``w``; its roots
 over a base z-value form the fiber.  Branch points are the zeros of the
 z-discriminant (computed by interpolating Sylvester determinants).  Each
-branch point gets a basepoint lasso: a straight approach routed around the
-other branch disks, a counterclockwise circle, and the reversed approach.
-Fibers are continued along those paths with an adaptive corrector that never
-lets a sheet move more than a third of the current fiber separation in one
-step, so sheet identities cannot be exchanged silently.
+branch point gets a basepoint lasso, and a boundary loop encircles them all:
+a straight approach that takes the minor arc around each disk it crosses, a
+counterclockwise circle, and the reversed approach.  Path nodes are spaced
+by one local rule, 0.35 x the distance to the nearest branch point (at least
+the smallest lasso radius) over ``refine``.  Fibers are continued along the
+paths with an adaptive corrector that never lets a sheet move more than a
+third of the current fiber separation in one step, bisecting where needed,
+so sheet identities cannot be exchanged silently.
 
 Sheet indices always refer to the basepoint fiber sorted by (real, imag).
 """
@@ -17,13 +20,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .cpoly import BivarPoly, CPoly, discriminant, root_bound, roots
+from .cpoly import BivarPoly, CPoly, discriminant, eval_scale, root_bound, roots
 from .errors import DegenerateCover, NumericFailure
 from .perms import Perm, generated_order
+
+Step = Callable[[complex], float]
 
 
 @dataclass(frozen=True)
@@ -81,21 +86,17 @@ def z_discriminant(cover: CoverSlice, strip_tol: float = 1e-9) -> CPoly:
     return CPoly(cleaned)
 
 
-def _poly_scale(p: CPoly, z: complex) -> float:
-    return sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(p.coeffs))
-
-
-def _newton_refine(p: CPoly, z0: complex, max_iter: int = 60) -> complex | None:
-    dp = p.derivative()
-    z = z0
+def _newton_w(p: CPoly, dp: CPoly, w: complex, max_iter: int = 30) -> complex | None:
+    """Newton's iteration on p (a polynomial in w or in z) from w; None unless
+    a step shrinks below 1e-13 relative within ``max_iter`` steps."""
     for _ in range(max_iter):
-        d = dp(z)
+        d = dp(w)
         if d == 0:
             return None
-        step = p(z) / d
-        z = z - step
-        if abs(step) < 1e-13 * (1.0 + abs(z)):
-            return z
+        step = p(w) / d
+        w = w - step
+        if abs(step) < 1e-13 * (1.0 + abs(w)):
+            return w
     return None
 
 
@@ -161,12 +162,12 @@ def branch_points(
         deriv = disc
         for _ in range(m - 1):
             deriv = deriv.derivative()
-        refined = _newton_refine(deriv, centroid)
+        refined = _newton_w(deriv, deriv.derivative(), centroid, max_iter=60)
         ok = refined is not None and abs(refined - centroid) <= 3 * tau
         if ok:
             d = disc
             for _ in range(m):
-                if abs(d(refined)) > 1e-9 * _poly_scale(d, refined):  # type: ignore[arg-type]
+                if abs(d(refined)) > 1e-9 * eval_scale(d, refined):  # type: ignore[arg-type]
                     ok = False
                     break
                 d = d.derivative()
@@ -185,18 +186,6 @@ def _minsep(points: Sequence[complex]) -> float:
         for i in range(len(points))
         for j in range(i + 1, len(points))
     )
-
-
-def _newton_w(p: CPoly, dp: CPoly, w: complex) -> complex | None:
-    for _ in range(30):
-        d = dp(w)
-        if d == 0:
-            return None
-        step = p(w) / d
-        w = w - step
-        if abs(step) < 1e-13 * (1.0 + abs(w)):
-            return w
-    return None
 
 
 def track_path(
@@ -244,32 +233,39 @@ def track_path(
     return tuple(fiber)
 
 
-def _seg_nodes(a: complex, b: complex, h: float) -> list[complex]:
-    n = max(1, math.ceil(abs(b - a) / h))
-    return [a + (b - a) * (k / n) for k in range(1, n + 1)]
+def _step_rule(branch: Sequence[complex], radii: Sequence[float], refine: int) -> Step:
+    """Node spacing at z: 0.35 x the distance from z to the nearest branch
+    point (the radius of the disc where the sheets are analytic), never less
+    than 0.35 x the smallest lasso radius, divided by ``refine``."""
+    floor = min(radii, default=math.inf)
+    return lambda z: 0.35 * max(floor, min((abs(z - c) for c in branch), default=math.inf)) / refine
 
 
-def _arc_nodes(center: complex, radius: float, th0: float, sweep: float, h: float) -> list[complex]:
-    n = max(6, math.ceil(abs(sweep) * radius / h))
-    return [center + radius * cmath.exp(1j * (th0 + sweep * k / n)) for k in range(1, n + 1)]
+def _nodes(point: Callable[[float], complex], length: float, step: Step) -> list[complex]:
+    """Nodes ``point(t)`` for t in (0, 1] along a path of the given arc length,
+    each placed ``step(z)`` past the previous node z; the last is ``point(1)``."""
+    out: list[complex] = []
+    s = 0.0
+    while s < length:
+        s = min(length, s + step(point(s / length)))
+        out.append(point(s / length))
+    return out
 
 
 def _route_segment(
     a: complex,
     b: complex,
     obstacles: Sequence[tuple[complex, float]],
-    h: float,
+    step: Step,
 ) -> list[complex]:
     """Nodes from a to b along the segment, arcing over intervening disks.
 
     Both endpoints must lie outside every obstacle disk.  Where the segment
-    crosses a disk, the chord is replaced by the circular arc whose midpoint
-    has the larger imaginary part (counterclockwise on a tie).
+    crosses a disk, the chord is replaced by the minor arc, the one on the
+    chord's side of the centre (counterclockwise on a tie); nodes follow ``step``.
     """
     d = b - a
     ll = abs(d) ** 2
-    if ll == 0:
-        return [a]
     events: list[tuple[float, float, complex, float]] = []
     for c, r in obstacles:
         ac = a - c
@@ -294,14 +290,34 @@ def _route_segment(
         th2 = cmath.phase(p2 - c)
         sweep_ccw = (th2 - th1) % (2 * math.pi)
         sweep_cw = sweep_ccw - 2 * math.pi
-        mid_ccw = (c + r * cmath.exp(1j * (th1 + sweep_ccw / 2))).imag
-        mid_cw = (c + r * cmath.exp(1j * (th1 + sweep_cw / 2))).imag
-        sweep = sweep_ccw if mid_ccw >= mid_cw else sweep_cw
-        nodes += _seg_nodes(cur, p1, h)
-        nodes += _arc_nodes(c, r, th1, sweep, h)
+        sweep = sweep_ccw if abs(sweep_ccw) <= abs(sweep_cw) else sweep_cw
+        nodes += _nodes(lambda t: cur + (p1 - cur) * t, abs(p1 - cur), step)
+        nodes += _nodes(lambda t: c + r * cmath.exp(1j * (th1 + sweep * t)), abs(sweep) * r, step)
         cur = p2
-    nodes += _seg_nodes(cur, b, h)
+    nodes += _nodes(lambda t: cur + (b - cur) * t, abs(b - cur), step)
     return nodes
+
+
+def _loop_nodes(
+    basepoint: complex,
+    center: complex,
+    radius: float,
+    obstacles: Sequence[tuple[complex, float]],
+    step: Step,
+) -> list[complex]:
+    """Loop from the basepoint around the circle |z - center| = radius: the
+    approach routed around the obstacle disks to the circle point nearest
+    the basepoint, one counterclockwise turn, and the approach reversed."""
+    toward = basepoint - center
+    entry = center + radius * (toward / abs(toward) if toward else 1.0)
+    approach = _route_segment(basepoint, entry, obstacles, step)
+    th = cmath.phase(entry - center)
+    turn = _nodes(
+        lambda t: center + radius * cmath.exp(1j * (th + 2 * math.pi * t)),
+        2 * math.pi * radius,
+        step,
+    )
+    return approach + turn + approach[-2::-1]
 
 
 def lasso_radii(branch: Sequence[complex], basepoint: complex) -> tuple[float, ...]:
@@ -319,43 +335,6 @@ def auto_basepoint(branch: Sequence[complex]) -> complex:
     """Real basepoint to the right of every branch point."""
     maxmod = max((abs(c) for c in branch), default=0.0)
     return complex(maxmod + 1.5, 0.0)
-
-
-def lasso_nodes(
-    branch: Sequence[complex],
-    radii: Sequence[float],
-    k: int,
-    basepoint: complex,
-    h: float,
-) -> list[complex]:
-    """Basepoint lasso around branch point k: approach, CCW circle, return."""
-    c, r = branch[k], radii[k]
-    e = c + r * (basepoint - c) / abs(basepoint - c)
-    obstacles = [(branch[j], radii[j]) for j in range(len(branch)) if j != k]
-    approach = _route_segment(basepoint, e, obstacles, h)
-    circle = _arc_nodes(c, r, cmath.phase(e - c), 2 * math.pi, h)
-    back = list(reversed(approach))[1:]
-    return approach + circle + back
-
-
-def boundary_nodes(
-    branch: Sequence[complex],
-    radii: Sequence[float],
-    basepoint: complex,
-    h: float,
-) -> list[complex]:
-    """Loop from the basepoint around a circle enclosing every branch disk."""
-    m = sum(branch) / len(branch)
-    spread = max(abs(c - m) for c in branch)
-    rr = max(abs(c - m) + 2.5 * r for c, r in zip(branch, radii))
-    rr = max(rr, abs(basepoint - m)) + 0.1 * (1.0 + spread)
-    direction = (basepoint - m) / abs(basepoint - m) if basepoint != m else 1.0 + 0j
-    exit_pt = m + rr * direction
-    obstacles = list(zip(branch, radii))
-    out = _route_segment(basepoint, exit_pt, obstacles, h)
-    circle = _arc_nodes(m, rr, cmath.phase(exit_pt - m), 2 * math.pi, h)
-    back = list(reversed(out))[1:]
-    return out + circle + back
 
 
 def _match_perm(fiber0: Sequence[complex], end: Sequence[complex]) -> Perm:
@@ -447,17 +426,18 @@ def full_monodromy(
     )
     branch_ord = tuple(branch[k] for k in order)
     radii = lasso_radii(branch_ord, basepoint)
-    h = 0.35 * min(radii) / refine
-
-    perms = []
-    for k in range(len(branch_ord)):
-        nodes = lasso_nodes(branch_ord, radii, k, basepoint, h)
-        end = track_path(cover, nodes, fiber0)
-        perms.append(_match_perm(fiber0, end))
-
-    bnodes = boundary_nodes(branch_ord, radii, basepoint, h)
-    bend = track_path(cover, bnodes, fiber0)
-    boundary = _match_perm(fiber0, bend)
+    step = _step_rule(branch_ord, radii, refine)
+    disks = list(zip(branch_ord, radii))
+    # the boundary circle encloses every lasso disk and the basepoint
+    m = sum(branch_ord) / len(branch_ord)
+    spread = max(abs(c - m) for c in branch_ord)
+    rr = max(abs(c - m) + 2.5 * r for c, r in disks)
+    rr = max(rr, abs(basepoint - m)) + 0.1 * (1.0 + spread)
+    loops = [(c, r, disks[:k] + disks[k + 1:]) for k, (c, r) in enumerate(disks)] + [(m, rr, disks)]
+    *perms, boundary = [
+        _match_perm(fiber0, track_path(cover, _loop_nodes(basepoint, c, r, obs, step), fiber0))
+        for c, r, obs in loops
+    ]
 
     product = Perm.identity(cover.degree)
     for p in perms:
@@ -489,19 +469,15 @@ def track_to(
 
     Returns (basepoint fiber, continued fiber aligned to it, basepoint used).
     """
+    if refine < 1:
+        raise ValueError("refine must be >= 1")
     branch = branch_points(cover)
     if basepoint is None:
         basepoint = auto_basepoint(branch)
     fiber0 = cover.fiber(basepoint)
-    if not branch:
-        nodes = [basepoint] + _seg_nodes(basepoint, target, max(abs(target - basepoint) / 8, 1e-9))
-        return fiber0, track_path(cover, nodes, fiber0), basepoint
     radii = lasso_radii(branch, basepoint)
-    h = 0.35 * min(radii) / refine
-    obstacles = [
-        (c, r) for c, r in zip(branch, radii) if abs(target - c) > r
-    ]
-    nodes = _route_segment(basepoint, target, obstacles, h)
+    obstacles = [(c, r) for c, r in zip(branch, radii) if abs(target - c) > r]
+    nodes = _route_segment(basepoint, target, obstacles, _step_rule(branch, radii, refine))
     return fiber0, track_path(cover, nodes, fiber0), basepoint
 
 

@@ -89,6 +89,13 @@ def _as_int(v: Any, path: str) -> int:
     return v
 
 
+def _as_positive_int(v: Any, path: str) -> int:
+    n = _as_int(v, path)
+    if n < 1:
+        raise _ctx(path, f"expected a positive integer, got {n}")
+    return n
+
+
 def _as_number(v: Any, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise _ctx(path, f"expected a number, got {type(v).__name__}")
@@ -291,9 +298,7 @@ def _run_extension(payload: dict) -> _Outcome:
         raise _ctx(path + ".inclusion", str(exc)) from exc
 
     assumed = _as_bool(payload.get("surjectivity_assumed", True), path + ".surjectivity_assumed")
-    cap = _as_int(payload.get("cap", 1_000_000), path + ".cap")
-    if cap < 1:
-        raise _ctx(path + ".cap", f"expected a positive integer, got {cap}")
+    cap = _as_positive_int(payload.get("cap", 1_000_000), path + ".cap")
 
     pair_specs = []
     for i, pair in enumerate(_as_list(payload.get("path_class_pairs", []), path + ".path_class_pairs")):
@@ -358,7 +363,7 @@ def _run_braid_search(payload: dict) -> _Outcome:
         pinned = {
             name: _as_perm(v, f"{path}.pinned.{name}", degree) for name, v in sorted(pinned_raw.items())
         }
-        cap = _as_int(payload.get("cap", 10_000_000), path + ".cap")
+        cap = _as_positive_int(payload.get("cap", 10_000_000), path + ".cap")
         try:
             sols = hom_search(strands, degree, pinned, cap=cap)
         except CapExceeded as exc:
@@ -378,7 +383,7 @@ def _run_braid_search(payload: dict) -> _Outcome:
         _check_keys(payload, allowed, path)
         strands = _as_int(_need(payload, "strands", path), path + ".strands")
         rho0 = _as_rep(_need(payload, "rho0", path), path + ".rho0")
-        cap_degree = _as_int(payload.get("cap_degree", 8), path + ".cap_degree")
+        cap_degree = _as_positive_int(payload.get("cap_degree", 8), path + ".cap_degree")
         try:
             res = minimal_extension_degree(rho0, strands, cap_degree=cap_degree)
         except CapExceeded as exc:
@@ -419,7 +424,7 @@ def _run_slice_monodromy(payload: dict) -> _Outcome:
     basepoint = None
     if payload.get("basepoint") is not None:
         basepoint = _as_complex(payload["basepoint"], path + ".basepoint")
-    refine = _as_int(payload.get("refine", 1), path + ".refine")
+    refine = _as_positive_int(payload.get("refine", 1), path + ".refine")
 
     mono = full_monodromy(cover, basepoint=basepoint, refine=refine)
     results: dict[str, Any] = {

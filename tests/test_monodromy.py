@@ -20,6 +20,8 @@ from coverext.monodromy import (
 )
 from coverext.scenarios import run_payload
 
+from oracles import companion_roots, orbit_size
+
 # w^3 + (1/4)^(1/3) w + z/sqrt(27): discriminant is z^2 - 1, branch points -1 and 1
 C1 = 0.25 ** (1 / 3)
 C0 = 27 ** -0.5
@@ -182,6 +184,14 @@ def test_track_to_isolates_the_untouched_sheet():
     assert mono.product_perm(iso) != iso
 
 
+def test_track_to_next_to_a_branch_point_terminates():
+    target = 1.0 + 1e-6
+    _, end, _ = track_to(CUBIC, target)
+    want = CUBIC.fiber(target)
+    for w in want:
+        assert min(abs(w - e) for e in end) < 1e-6
+
+
 def test_track_to_without_branch_points():
     flat = CoverSlice(BivarPoly.from_lists([[0.0, -1.0], [1.0]]))  # w = z
     fiber0, end, base = track_to(flat, 3.0 + 1.0j, basepoint=0.0)
@@ -204,8 +214,11 @@ def test_unbranched_cover_generates_the_trivial_group():
 def test_basepoint_on_branch_point_rejected():
     with pytest.raises(ValueError, match="branch point"):
         full_monodromy(STEIN, basepoint=0.0)
-    with pytest.raises(ValueError, match="refine"):
-        full_monodromy(STEIN, refine=0)
+    for refine in (0, -1):
+        with pytest.raises(ValueError, match="refine"):
+            full_monodromy(STEIN, refine=refine)
+        with pytest.raises(ValueError, match="refine"):
+            track_to(CUBIC, 1.04, refine=refine)
 
 
 def test_square_root_family_monodromy():
@@ -235,3 +248,37 @@ def test_square_root_family_monodromy():
         assert mono.product_perm.images == (0, 1)
         assert mono.product_matches_boundary
         assert mono.closure_order() == 2
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_generic_cover_lassos_compose_to_the_boundary_loop(seed):
+    # w^d + sum (a_k + b_k z) w^k with complex normal a_k, b_k: generic, so
+    # irreducible with simple branch points
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(3, 9))
+    a = rng.normal(size=d) + 1j * rng.normal(size=d)
+    b = rng.normal(size=d) + 1j * rng.normal(size=d)
+    cover = CoverSlice(BivarPoly.from_lists([[a[k], b[k]] for k in range(d)] + [[1.0]]))
+    mono = full_monodromy(cover)
+    assert mono.product_matches_boundary
+    assert orbit_size([p.images for p in mono.perms], 0) == d
+    fine = full_monodromy(cover, refine=2)
+    assert [p.images for p in fine.perms] == [p.images for p in mono.perms]
+    assert fine.boundary_perm == mono.boundary_perm
+
+
+def test_branch_points_of_a_slowly_converging_discriminant():
+    # d = 7 with coefficients c_k(z) of z-degree 1 or 2 drawn from
+    # default_rng(100); Aberth iterates on its degree-22 discriminant stall
+    # for 12 sweeps before they converge
+    rng = np.random.default_rng(100)
+    rows = []
+    for _ in range(7):
+        zdeg = int(rng.integers(1, 3))
+        rows.append([complex(rng.normal(), rng.normal()) for _ in range(zdeg + 1)])
+    cover = CoverSlice(BivarPoly.from_lists(rows + [[1.0]]))
+    want = companion_roots(z_discriminant(cover).coeffs)
+    got = branch_points(cover)
+    assert len(want) == len(got) == 22
+    for z in want:
+        assert min(abs(z - g) for g in got) < 1e-9

@@ -99,6 +99,17 @@ def test_schema_rejections():
         run_payload({"kind": "braid-search", "mode": "minimal-extension", "strands": 4, "rho0": bad_rho0})
     with pytest.raises(SchemaError, match="unknown mode"):
         run_payload({"kind": "braid-search", "mode": "bogus"})
+    for cap in (0, -5):
+        homs = {"kind": "braid-search", "mode": "homs", "strands": 3, "degree": 2, "cap": cap}
+        with pytest.raises(SchemaError, match=rf"at scenario\.cap: expected a positive integer, got {cap}"):
+            run_payload(homs)
+    good_rho0 = {"degree": 2, "images": {"s1": [1, 0], "s2": [1, 0]}}
+    minimal = {"kind": "braid-search", "mode": "minimal-extension", "strands": 4, "rho0": good_rho0}
+    with pytest.raises(SchemaError, match=r"at scenario\.cap_degree: expected a positive integer, got 0"):
+        run_payload(dict(minimal, cap_degree=0))
+    line = {"w_coeffs": [[[0.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0]]]}
+    with pytest.raises(SchemaError, match=r"at scenario\.refine: expected a positive integer, got 0"):
+        run_payload({"kind": "slice-monodromy", "cover": line, "refine": 0})
     with pytest.raises(SchemaError, match="separation points need"):
         run_payload(
             {
