@@ -180,7 +180,7 @@ def roots(
 def _check_residuals(p: CPoly, rs: Sequence[complex], residual_tol: float) -> None:
     for r in rs:
         scale = eval_scale(p, r)
-        if abs(p(r)) > residual_tol * scale:
+        if not abs(p(r)) <= residual_tol * scale:  # a NaN residual fails too
             raise NumericFailure(
                 f"root candidate {r} has residual {abs(p(r)):.3e} above "
                 f"{residual_tol:.1e} * {scale:.3e}"

@@ -153,7 +153,7 @@ def levi_signature(
     dev = np.abs(fd - mat)
     j, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
     err = float(dev[j, k])
-    if err > fd_rel_tol * scale:
+    if not err <= fd_rel_tol * scale:  # a NaN deviation fails too
         raise NumericFailure(
             f"closed-form Levi matrix deviates from finite differences by {err:.3e} "
             f"at entry ({j}, {k}) (allowed {fd_rel_tol * scale:.3e})"

@@ -14,12 +14,14 @@ bytes.  Wall-clock timings are returned separately for console display.
 
 Wire conventions: complex numbers are ``[re, im]`` pairs, permutations enter
 as image lists and leave as ``{"images": [...], "cycles": "(0 1)"}``, words
-use the ``alpha1 alpha2^-1`` syntax.
+use the ``alpha1 alpha2^-1`` syntax, and every number must be finite.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -39,10 +41,12 @@ from .perms import Perm, format_cycles
 from .reps import PermRep
 from .words import Word, format_word, parse_word
 
-KINDS = ("extension", "braid-search", "slice-monodromy", "hartogs-check")
 VERDICT_MATCHES = "MATCHES"
 VERDICT_CONTRADICTS = "CONTRADICTS"
 VERDICT_NOT_CLAIMED = "NOT-CLAIMED"
+
+# Read by run_payload itself; a runner sees only the remaining body.
+_ENVELOPE = ("kind", "name", "description", "claims")
 
 
 # ---------------------------------------------------------------------------
@@ -53,40 +57,45 @@ def _ctx(path: str, msg: str) -> SchemaError:
     return SchemaError(f"at {path}: {msg}")
 
 
-def _need(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
+# Marks "no value": a required field (no default) or a claim path that misses.
+_MISSING = object()
+
+
+def _field(obj: dict, key: str, path: str, conv: Callable[[Any, str], Any], default: Any = _MISSING) -> Any:
+    """``conv(obj[key], "path.key")``, or ``default`` when the key is absent.
+
+    Without a default the field is required.  ``null`` counts as absent only
+    where the default is ``None``; everywhere else ``conv`` rejects it.
+    """
+    if key in obj and not (obj[key] is None and default is None):
+        return conv(obj[key], f"{path}.{key}")
+    if default is _MISSING:
         raise _ctx(path, f"missing required field {key!r}")
-    return obj[key]
+    return default
 
 
-def _as_dict(v: Any, path: str) -> dict:
-    if not isinstance(v, dict):
-        raise _ctx(path, f"expected an object, got {type(v).__name__}")
-    return v
+def _is(types: type | tuple[type, ...], noun: str) -> Callable[[Any, str], Any]:
+    """A converter that accepts only instances of ``types``; a bool is never a number."""
+
+    def conv(v: Any, path: str) -> Any:
+        if not isinstance(v, types) or (isinstance(v, bool) and types is not bool):
+            raise _ctx(path, f"expected {noun}, got {type(v).__name__}")
+        return v
+
+    return conv
 
 
-def _as_list(v: Any, path: str) -> list:
-    if not isinstance(v, list):
-        raise _ctx(path, f"expected a list, got {type(v).__name__}")
-    return v
+_as_dict = _is(dict, "an object")
+_as_list = _is(list, "a list")
+_as_str = _is(str, "a string")
+_as_bool = _is(bool, "a boolean")
+_as_int = _is(int, "an integer")
+_as_real = _is((int, float), "a number")
 
 
-def _as_str(v: Any, path: str) -> str:
-    if not isinstance(v, str):
-        raise _ctx(path, f"expected a string, got {type(v).__name__}")
-    return v
-
-
-def _as_bool(v: Any, path: str) -> bool:
-    if not isinstance(v, bool):
-        raise _ctx(path, f"expected a boolean, got {type(v).__name__}")
-    return v
-
-
-def _as_int(v: Any, path: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise _ctx(path, f"expected an integer, got {type(v).__name__}")
-    return v
+def _items(v: Any, path: str) -> list[tuple[Any, str]]:
+    """The elements of a list, each with its own path ``path[i]``."""
+    return [(x, f"{path}[{i}]") for i, x in enumerate(_as_list(v, path))]
 
 
 def _as_positive_int(v: Any, path: str) -> int:
@@ -97,25 +106,38 @@ def _as_positive_int(v: Any, path: str) -> int:
 
 
 def _as_number(v: Any, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise _ctx(path, f"expected a number, got {type(v).__name__}")
+    # fails for NaN, the infinities and integers beyond the float range
+    if not abs(_as_real(v, path)) <= sys.float_info.max:
+        raise _ctx(path, "expected a finite number")
     return float(v)
+
+
+def _as_finite(v: Any, path: str) -> Any:
+    """Any JSON value whose numbers, however deeply nested, are all finite."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        _as_number(v, path)
+    elif isinstance(v, list):
+        for x, p in _items(v, path):
+            _as_finite(x, p)
+    elif isinstance(v, dict):
+        for k, x in v.items():
+            _as_finite(x, f"{path}.{k}")
+    return v
 
 
 def _as_complex(v: Any, path: str) -> complex:
     lst = _as_list(v, path)
     if len(lst) != 2:
         raise _ctx(path, "complex values are [re, im] pairs")
-    return complex(_as_number(lst[0], path + "[0]"), _as_number(lst[1], path + "[1]"))
+    return complex(*(_as_number(x, p) for x, p in _items(lst, path)))
 
 
-def _as_perm(v: Any, path: str, degree: int | None = None) -> Perm:
-    lst = _as_list(v, path)
+def _as_perm(v: Any, path: str, degree: int) -> Perm:
     try:
-        p = Perm.from_images([_as_int(x, f"{path}[{i}]") for i, x in enumerate(lst)])
+        p = Perm.from_images([_as_int(x, q) for x, q in _items(v, path)])
     except ValueError as exc:
         raise _ctx(path, str(exc)) from exc
-    if degree is not None and p.degree != degree:
+    if p.degree != degree:
         raise _ctx(path, f"permutation degree {p.degree} does not match {degree}")
     return p
 
@@ -134,32 +156,47 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
         raise _ctx(path, f"unknown fields {extra}; allowed: {sorted(allowed)}")
 
 
+def _as_perms(v: Any, path: str, degree: int) -> dict[str, Perm]:
+    """An object of named permutations, all of the given degree."""
+    return {name: _as_perm(p, f"{path}.{name}", degree) for name, p in sorted(_as_dict(v, path).items())}
+
+
 def _as_rep(v: Any, path: str) -> PermRep:
     raw = _as_dict(v, path)
     _check_keys(raw, {"degree", "images"}, path)
-    degree = _as_int(_need(raw, "degree", path), path + ".degree")
-    images = _as_dict(_need(raw, "images", path), path + ".images")
-    return PermRep(
-        degree,
-        {name: _as_perm(p, f"{path}.images.{name}", degree) for name, p in sorted(images.items())},
-    )
+    degree = _field(raw, "degree", path, _as_int)
+    return PermRep(degree, _field(raw, "images", path, lambda x, p: _as_perms(x, p, degree)))
 
 
 def _as_presentation(v: Any, path: str) -> Presentation:
     raw = _as_dict(v, path)
     _check_keys(raw, {"generators", "relators"}, path)
-    gens = tuple(
-        _as_str(g, f"{path}.generators[{i}]")
-        for i, g in enumerate(_as_list(_need(raw, "generators", path), path + ".generators"))
-    )
-    relators = tuple(
-        _as_word(r, f"{path}.relators[{i}]", gens)
-        for i, r in enumerate(_as_list(raw.get("relators", []), path + ".relators"))
-    )
+    gens = tuple(_as_str(g, p) for g, p in _field(raw, "generators", path, _items))
+    relators = tuple(_as_word(r, p, gens) for r, p in _field(raw, "relators", path, _items, []))
     try:
         return Presentation(gens, relators)
     except ValueError as exc:
         raise _ctx(path, str(exc)) from exc
+
+
+def _as_inclusion(v: Any, path: str, rho0: PermRep) -> Inclusion:
+    raw = _as_dict(v, path)
+    _check_keys(raw, {"images", "target"}, path)
+    target = _field(raw, "target", path, _as_presentation)
+    images = _field(raw, "images", path, _as_dict)
+    if set(images) != set(rho0.images):
+        raise _ctx(path + ".images", "must give one image per rho0 generator")
+    words = {n: _as_word(w, f"{path}.images.{n}", target.generators) for n, w in sorted(images.items())}
+    return Inclusion(tuple(words), words, target)
+
+
+def _as_bivar(v: Any, path: str) -> BivarPoly:
+    raw = _as_dict(v, path)
+    _check_keys(raw, {"w_coeffs"}, path)
+    rows = _field(raw, "w_coeffs", path, _items)
+    if not rows:
+        raise _ctx(path + ".w_coeffs", "needs at least one row")
+    return BivarPoly.from_lists([[_as_complex(c, q) for c, q in _items(row, p)] for row, p in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -174,160 +211,114 @@ def _perm2j(p: Perm) -> dict:
     return {"images": list(p.images), "cycles": format_cycles(p)}
 
 
+def _images2j(images: dict[str, Perm]) -> dict:
+    return {name: _perm2j(p) for name, p in sorted(images.items())}
+
+
 # ---------------------------------------------------------------------------
 # claims
 
+_INDEX = re.compile(r"0|[1-9][0-9]*")
+
 
 def _lookup(results: Any, path: str) -> Any:
+    """The value at a dotted claim path, or ``_MISSING``.  A list is indexed
+    only by a canonical non-negative decimal segment."""
     cur = results
     for seg in path.split("."):
-        if isinstance(cur, list):
+        if isinstance(cur, list) and _INDEX.fullmatch(seg) and int(seg) < len(cur):
             cur = cur[int(seg)]
-        elif isinstance(cur, dict):
+        elif isinstance(cur, dict) and seg in cur:
             cur = cur[seg]
         else:
-            raise KeyError(path)
+            return _MISSING
     return cur
 
 
-def _close(a: Any, b: Any, tol: float) -> bool:
+def _agrees(a: Any, b: Any, tol: float) -> bool:
+    """Claim comparer: booleans match only booleans, numbers within ``tol``
+    (integers exactly), lists and objects entry by entry."""
     if isinstance(a, bool) or isinstance(b, bool):
         return a is b
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return abs(float(a) - float(b)) <= tol
+        return abs(a - b) <= tol
     if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(_close(x, y, tol) for x, y in zip(a, b))
+        return len(a) == len(b) and all(_agrees(x, y, tol) for x, y in zip(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_agrees(a[k], b[k], tol) for k in a)
     return a == b
 
 
-def _validate_claims(v: Any, path: str) -> list[dict]:
-    claims = []
-    for i, raw in enumerate(_as_list(v, path)):
-        p = f"{path}[{i}]"
-        c = _as_dict(raw, p)
-        _check_keys(c, {"id", "source", "statement", "check"}, p)
-        claim = {
-            "id": _as_str(_need(c, "id", p), p + ".id"),
-            "source": _as_str(_need(c, "source", p), p + ".source"),
-            "statement": _as_str(_need(c, "statement", p), p + ".statement"),
-            "check": None,
-        }
-        if "check" in c and c["check"] is not None:
-            ch = _as_dict(c["check"], p + ".check")
-            _check_keys(ch, {"path", "equals", "close_to", "abs_tol"}, p + ".check")
-            target = _as_str(_need(ch, "path", p + ".check"), p + ".check.path")
-            if ("equals" in ch) == ("close_to" in ch):
-                raise _ctx(p + ".check", "exactly one of 'equals' / 'close_to' is required")
-            check: dict[str, Any] = {"path": target}
-            if "equals" in ch:
-                check["equals"] = ch["equals"]
-            else:
-                check["close_to"] = ch["close_to"]
-                check["abs_tol"] = _as_number(ch.get("abs_tol", 1e-9), p + ".check.abs_tol")
-            claim["check"] = check
-        claims.append(claim)
-    return claims
+def _as_check(v: Any, path: str) -> dict:
+    """``equals`` is a check at tolerance 0; ``expected`` is the report's copy."""
+    ch = _as_dict(v, path)
+    _check_keys(ch, {"path", "equals", "close_to", "abs_tol"}, path)
+    target = _field(ch, "path", path, _as_str)
+    if ("equals" in ch) == ("close_to" in ch):
+        raise _ctx(path, "exactly one of 'equals' / 'close_to' is required")
+    if "equals" in ch:
+        value = _field(ch, "equals", path, _as_finite)
+        return {"path": target, "value": value, "tol": 0, "expected": value}
+    value = _field(ch, "close_to", path, _as_finite)
+    tol = _field(ch, "abs_tol", path, _as_number, 1e-9)
+    if tol < 0:
+        raise _ctx(path + ".abs_tol", f"expected a non-negative tolerance, got {tol}")
+    return {"path": target, "value": value, "tol": tol, "expected": {"close_to": value, "abs_tol": tol}}
 
 
-def _evaluate_claims(claims: list[dict], results: dict) -> list[dict]:
-    out = []
-    for claim in claims:
-        entry = {
-            "id": claim["id"],
-            "source": claim["source"],
-            "statement": claim["statement"],
-            "expected": None,
-            "computed": None,
-            "verdict": VERDICT_NOT_CLAIMED,
-        }
-        check = claim["check"]
-        if check is not None:
-            try:
-                computed = _lookup(results, check["path"])
-            except (KeyError, IndexError, ValueError):
-                computed = None
-                entry["verdict"] = VERDICT_NOT_CLAIMED
-            else:
-                entry["computed"] = computed
-                if "equals" in check:
-                    entry["expected"] = check["equals"]
-                    ok = computed == check["equals"] and (
-                        isinstance(computed, bool) == isinstance(check["equals"], bool)
-                    )
-                else:
-                    entry["expected"] = {"close_to": check["close_to"], "abs_tol": check["abs_tol"]}
-                    ok = _close(computed, check["close_to"], check["abs_tol"])
-                entry["verdict"] = VERDICT_MATCHES if ok else VERDICT_CONTRADICTS
-        out.append(entry)
-    return out
+def _as_claim(v: Any, path: str) -> tuple[dict, dict | None]:
+    """The claim's text fields, and its check if it has one."""
+    c = _as_dict(v, path)
+    _check_keys(c, {"id", "source", "statement", "check"}, path)
+    text = {key: _field(c, key, path, _as_str) for key in ("id", "source", "statement")}
+    return text, _field(c, "check", path, _as_check, None)
+
+
+def _verdict(text: dict, check: dict | None, results: dict) -> dict:
+    computed = _MISSING if check is None else _lookup(results, check["path"])
+    if computed is _MISSING:
+        return dict(text, expected=None, computed=None, verdict=VERDICT_NOT_CLAIMED)
+    ok = _agrees(computed, check["value"], check["tol"])
+    verdict = VERDICT_MATCHES if ok else VERDICT_CONTRADICTS
+    return dict(text, expected=check["expected"], computed=computed, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
 # kind runners
+#
+# Each runner validates its body (the scenario minus the envelope) and returns
+# (results, table); only an extension run computes a coset table, and it
+# never enters the canonical report.  run_payload maps the runners' errors.
 
-# (status, results, table): only an extension run that computed a coset table
-# returns one, and it never enters the canonical report.
-_Outcome = tuple[str, dict, CosetTable | None]
+_Outcome = tuple[dict, CosetTable | None]
 
 
-def _run_extension(payload: dict) -> _Outcome:
+def _run_extension(body: dict) -> _Outcome:
     path = "scenario"
     allowed = {
-        "kind", "name", "description", "claims", "rho0", "inclusion",
-        "surjectivity_assumed", "cap", "path_class_pairs",
+        "rho0", "inclusion", "surjectivity_assumed", "cap", "path_class_pairs",
         "check_two_sheet_uniqueness_up_to",
     }
-    _check_keys(payload, allowed, path)
-    rho0 = _as_rep(_need(payload, "rho0", path), path + ".rho0")
-
-    inc_raw = _as_dict(_need(payload, "inclusion", path), path + ".inclusion")
-    _check_keys(inc_raw, {"images", "target"}, path + ".inclusion")
-    target = _as_presentation(_need(inc_raw, "target", path + ".inclusion"), path + ".inclusion.target")
-    gens = target.generators
-    inc_images_raw = _as_dict(_need(inc_raw, "images", path + ".inclusion"), path + ".inclusion.images")
-    source_names = tuple(sorted(rho0.images))
-    if set(inc_images_raw) != set(source_names):
-        raise _ctx(path + ".inclusion.images", "must give one image per rho0 generator")
-    try:
-        inclusion = Inclusion(
-            source_names,
-            {n: _as_word(inc_images_raw[n], f"{path}.inclusion.images.{n}", gens) for n in source_names},
-            target,
-        )
-    except ValueError as exc:
-        raise _ctx(path + ".inclusion", str(exc)) from exc
-
-    assumed = _as_bool(payload.get("surjectivity_assumed", True), path + ".surjectivity_assumed")
-    cap = _as_positive_int(payload.get("cap", 1_000_000), path + ".cap")
-
+    _check_keys(body, allowed, path)
+    rho0 = _field(body, "rho0", path, _as_rep)
+    inclusion = _field(body, "inclusion", path, lambda v, p: _as_inclusion(v, p, rho0))
+    gens = inclusion.target.generators
+    assumed = _field(body, "surjectivity_assumed", path, _as_bool, True)
+    cap = _field(body, "cap", path, _as_positive_int, 1_000_000)
     pair_specs = []
-    for i, pair in enumerate(_as_list(payload.get("path_class_pairs", []), path + ".path_class_pairs")):
-        lst = _as_list(pair, f"{path}.path_class_pairs[{i}]")
-        if len(lst) != 2:
-            raise _ctx(f"{path}.path_class_pairs[{i}]", "expected a pair of words")
-        pair_specs.append(
-            (
-                _as_word(lst[0], f"{path}.path_class_pairs[{i}][0]", gens),
-                _as_word(lst[1], f"{path}.path_class_pairs[{i}][1]", gens),
-            )
-        )
-    uniq_up_to = payload.get("check_two_sheet_uniqueness_up_to")
-    if uniq_up_to is not None:
-        uniq_up_to = _as_int(uniq_up_to, path + ".check_two_sheet_uniqueness_up_to")
+    for pair, p in _field(body, "path_class_pairs", path, _items, []):
+        if len(_as_list(pair, p)) != 2:
+            raise _ctx(p, "expected a pair of words")
+        pair_specs.append(tuple(_as_word(w, q, gens) for w, q in _items(pair, p)))
+    uniq_up_to = _field(body, "check_two_sheet_uniqueness_up_to", path, _as_positive_int, None)
 
-    try:
-        res = weak_extend(rho0, inclusion, surjectivity_assumed=assumed, cap=cap)
-    except CapExceeded as exc:
-        return "cap-exceeded", {"error": str(exc)}, None
-    except SurjectivityError as exc:
-        return "surjectivity-failed", {"error": str(exc)}, None
-
+    res = weak_extend(rho0, inclusion, surjectivity_assumed=assumed, cap=cap)
     results: dict[str, Any] = {
         "b0": res.b0,
         "b1": res.b1,
         "strong": res.strong,
         "fiber_map": list(res.fiber_map),
-        "rho1": {name: _perm2j(res.rho1.images[name]) for name in sorted(res.rho1.images)},
+        "rho1": _images2j(res.rho1.images),
         "abelianization_surjective": res.abelianization_surjective,
         "stabilizer_generators": [format_word(w) for w in res.stabilizer.generators],
         "transversal": [format_word(w) for w in res.stabilizer.transversal],
@@ -348,83 +339,45 @@ def _run_extension(payload: dict) -> _Outcome:
             "k_max": uniq_up_to,
             "all_unique": all(two_sheet_unique(k) for k in range(1, uniq_up_to + 1)),
         }
-    return "ok", results, res.table
+    return results, res.table
 
 
-def _run_braid_search(payload: dict) -> _Outcome:
+def _run_braid_search(body: dict) -> _Outcome:
     path = "scenario"
-    mode = _as_str(_need(payload, "mode", path), path + ".mode")
+    mode = _field(body, "mode", path, _as_str)
     if mode == "homs":
-        allowed = {"kind", "name", "description", "claims", "mode", "strands", "degree", "pinned", "cap"}
-        _check_keys(payload, allowed, path)
-        strands = _as_int(_need(payload, "strands", path), path + ".strands")
-        degree = _as_int(_need(payload, "degree", path), path + ".degree")
-        pinned_raw = _as_dict(payload.get("pinned", {}), path + ".pinned")
-        pinned = {
-            name: _as_perm(v, f"{path}.pinned.{name}", degree) for name, v in sorted(pinned_raw.items())
-        }
-        cap = _as_positive_int(payload.get("cap", 10_000_000), path + ".cap")
-        try:
-            sols = hom_search(strands, degree, pinned, cap=cap)
-        except CapExceeded as exc:
-            return "cap-exceeded", {"error": str(exc)}, None
-        except ValueError as exc:
-            raise _ctx(path, str(exc)) from exc
-        return "ok", {
+        _check_keys(body, {"mode", "strands", "degree", "pinned", "cap"}, path)
+        strands = _field(body, "strands", path, _as_int)
+        degree = _field(body, "degree", path, _as_int)
+        pinned = _field(body, "pinned", path, lambda v, p: _as_perms(v, p, degree), {})
+        cap = _field(body, "cap", path, _as_positive_int, 10_000_000)
+        sols = hom_search(strands, degree, pinned, cap=cap)
+        return {
             "exhaustive": True,
             "search_space": factorial(degree) ** (max(strands - 1, 0) - len(pinned)),
             "solution_count": len(sols),
-            "solutions": [
-                {name: _perm2j(sol[name]) for name in sorted(sol)} for sol in sols
-            ],
+            "solutions": [_images2j(sol) for sol in sols],
         }, None
     if mode == "minimal-extension":
-        allowed = {"kind", "name", "description", "claims", "mode", "strands", "rho0", "cap_degree"}
-        _check_keys(payload, allowed, path)
-        strands = _as_int(_need(payload, "strands", path), path + ".strands")
-        rho0 = _as_rep(_need(payload, "rho0", path), path + ".rho0")
-        cap_degree = _as_positive_int(payload.get("cap_degree", 8), path + ".cap_degree")
-        try:
-            res = minimal_extension_degree(rho0, strands, cap_degree=cap_degree)
-        except CapExceeded as exc:
-            return "cap-exceeded", {"error": str(exc)}, None
-        except ValueError as exc:
-            raise _ctx(path, str(exc)) from exc
-        return "ok", {
-            "minimal_degree": res.degree,
-            "witness": {name: _perm2j(res.images[name]) for name in sorted(res.images)},
-        }, None
+        _check_keys(body, {"mode", "strands", "rho0", "cap_degree"}, path)
+        strands = _field(body, "strands", path, _as_int)
+        rho0 = _field(body, "rho0", path, _as_rep)
+        cap_degree = _field(body, "cap_degree", path, _as_positive_int, 8)
+        res = minimal_extension_degree(rho0, strands, cap_degree=cap_degree)
+        return {"minimal_degree": res.degree, "witness": _images2j(res.images)}, None
     raise _ctx(path + ".mode", f"unknown mode {mode!r}; expected 'homs' or 'minimal-extension'")
 
 
-def _as_bivar(v: Any, path: str) -> BivarPoly:
-    rows_raw = _as_dict(v, path)
-    _check_keys(rows_raw, {"w_coeffs"}, path)
-    rows = []
-    for i, row in enumerate(_as_list(_need(rows_raw, "w_coeffs", path), path + ".w_coeffs")):
-        rows.append(
-            [
-                _as_complex(c, f"{path}.w_coeffs[{i}][{j}]")
-                for j, c in enumerate(_as_list(row, f"{path}.w_coeffs[{i}]"))
-            ]
-        )
-    if not rows:
-        raise _ctx(path + ".w_coeffs", "needs at least one row")
-    return BivarPoly.from_lists(rows)
-
-
-def _run_slice_monodromy(payload: dict) -> _Outcome:
+def _run_slice_monodromy(body: dict) -> _Outcome:
     path = "scenario"
-    allowed = {
-        "kind", "name", "description", "claims", "cover", "basepoint",
-        "refine", "function", "separation_points",
-    }
-    _check_keys(payload, allowed, path)
-    cover = CoverSlice(_as_bivar(_need(payload, "cover", path), path + ".cover"))
-    basepoint = None
-    if payload.get("basepoint") is not None:
-        basepoint = _as_complex(payload["basepoint"], path + ".basepoint")
-    refine = _as_positive_int(payload.get("refine", 1), path + ".refine")
+    _check_keys(body, {"cover", "basepoint", "refine", "function", "separation_points"}, path)
+    cover = CoverSlice(_field(body, "cover", path, _as_bivar))
+    basepoint = _field(body, "basepoint", path, _as_complex, None)
+    refine = _field(body, "refine", path, _as_positive_int, 1)
+    func = _field(body, "function", path, _as_bivar, None)
+    sep_points = [_as_complex(z, p) for z, p in _field(body, "separation_points", path, _items, [])]
+    if func is None and sep_points:
+        raise _ctx(path + ".separation_points", "separation points need a 'function'")
 
     mono = full_monodromy(cover, basepoint=basepoint, refine=refine)
     results: dict[str, Any] = {
@@ -441,51 +394,49 @@ def _run_slice_monodromy(payload: dict) -> _Outcome:
         "distinct_perm_count": len({p.images for p in mono.perms}),
         "closure_order": mono.closure_order(),
     }
-    if payload.get("function") is not None:
-        func = _as_bivar(payload["function"], path + ".function")
+    if func is not None:
         wp = weierstrass_poly_of_function(cover, func)
         results["weierstrass"] = {
             "w_coeffs": [[_c2j(c) for c in row.coeffs] for row in wp.w_coeffs]
         }
-        sep_points = [
-            _as_complex(z, f"{path}.separation_points[{i}]")
-            for i, z in enumerate(_as_list(payload.get("separation_points", []), path + ".separation_points"))
-        ]
         results["separates"] = [
             {"z": _c2j(z), "distinct": separates_fiber(cover, func, z)} for z in sep_points
         ]
-    elif payload.get("separation_points"):
-        raise _ctx(path + ".separation_points", "separation points need a 'function'")
-    return "ok", results, None
+    return results, None
 
 
-def _run_hartogs_check(payload: dict) -> _Outcome:
+def _as_case(v: Any, path: str) -> dict:
+    c = _as_dict(v, path)
+    _check_keys(c, {"n", "q", "alpha", "count", "seed"}, path)
+    case = {
+        "n": _field(c, "n", path, _as_int),
+        "q": _field(c, "q", path, _as_int),
+        "alpha": _field(c, "alpha", path, _as_number),
+        "count": _field(c, "count", path, _as_positive_int),
+        "seed": _field(c, "seed", path, _as_int),
+    }
+    if not 1 <= case["q"] < case["n"]:
+        raise _ctx(path, f"need 1 <= q < n, got q={case['q']}, n={case['n']}")
+    return case
+
+
+def _run_hartogs_check(body: dict) -> _Outcome:
     path = "scenario"
-    allowed = {"kind", "name", "description", "claims", "r", "cases"}
-    _check_keys(payload, allowed, path)
-    r = _as_number(_need(payload, "r", path), path + ".r")
+    _check_keys(body, {"r", "cases"}, path)
+    r = _field(body, "r", path, _as_number)
     cases_out = []
     worst_dev = 0.0
     all_expected = True
-    for i, raw in enumerate(_as_list(_need(payload, "cases", path), path + ".cases")):
-        p = f"{path}.cases[{i}]"
-        c = _as_dict(raw, p)
-        _check_keys(c, {"n", "q", "alpha", "count", "seed"}, p)
-        n = _as_int(_need(c, "n", p), p + ".n")
-        q = _as_int(_need(c, "q", p), p + ".q")
-        alpha = _as_number(_need(c, "alpha", p), p + ".alpha")
-        count = _as_int(_need(c, "count", p), p + ".count")
-        seed = _as_int(_need(c, "seed", p), p + ".seed")
-        if not 1 <= q < n:
-            raise _ctx(p, f"need 1 <= q < n, got q={q}, n={n}")
-        rng = np.random.default_rng(seed)
+    for case in [_as_case(c, p) for c, p in _field(body, "cases", path, _items)]:
+        n, q = case["n"], case["q"]
+        rng = np.random.default_rng(case["seed"])
         sig_counts: dict[str, int] = {}
         case_dev = 0.0
-        for _ in range(count):
+        for _ in range(case["count"]):
             radii = rng.uniform(0.25, 0.7, size=n)
             angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
             w = radii * np.exp(1j * angles)
-            data = levi_signature(w, q, alpha, r)
+            data = levi_signature(w, q, case["alpha"], r)
             key = ",".join(str(x) for x in data.signature)
             sig_counts[key] = sig_counts.get(key, 0) + 1
             for e in data.eigenvalues:
@@ -496,19 +447,15 @@ def _run_hartogs_check(payload: dict) -> _Outcome:
         all_expected = all_expected and case_ok
         worst_dev = max(worst_dev, case_dev)
         cases_out.append(
-            {
-                "n": n,
-                "q": q,
-                "alpha": alpha,
-                "count": count,
-                "seed": seed,
-                "expected_signature": expected,
-                "signature_counts": dict(sorted(sig_counts.items())),
-                "max_negative_deviation_from_minus_2": case_dev,
-                "signatures_as_expected": case_ok,
-            }
+            dict(
+                case,
+                expected_signature=expected,
+                signature_counts=dict(sorted(sig_counts.items())),
+                max_negative_deviation_from_minus_2=case_dev,
+                signatures_as_expected=case_ok,
+            )
         )
-    return "ok", {
+    return {
         "cases": cases_out,
         "all_signatures_expected": all_expected,
         "max_negative_deviation_from_minus_2": worst_dev,
@@ -521,6 +468,7 @@ _RUNNERS: dict[str, Callable[[dict], _Outcome]] = {
     "slice-monodromy": _run_slice_monodromy,
     "hartogs-check": _run_hartogs_check,
 }
+KINDS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -552,17 +500,31 @@ class Report:
 
 
 def run_payload(payload: Any) -> Report:
-    """Validate and run one scenario description."""
-    top = _as_dict(payload, "scenario")
-    kind = _as_str(_need(top, "kind", "scenario"), "scenario.kind")
+    """Validate and run one scenario description.
+
+    A capped enumeration ends in status ``cap-exceeded`` and a provably
+    non-surjective map in ``surjectivity-failed``, whatever the kind; input
+    the computation rejects raises :class:`SchemaError`.
+    """
+    path = "scenario"
+    top = _as_dict(payload, path)
+    kind = _field(top, "kind", path, _as_str)
     if kind not in KINDS:
-        raise _ctx("scenario.kind", f"unknown kind {kind!r}; expected one of {list(KINDS)}")
-    name = _as_str(top.get("name", "unnamed"), "scenario.name")
-    if "description" in top:
-        _as_str(top["description"], "scenario.description")
-    claims = _validate_claims(top.get("claims", []), "scenario.claims")
+        raise _ctx(path + ".kind", f"unknown kind {kind!r}; expected one of {list(KINDS)}")
+    name = _field(top, "name", path, _as_str, "unnamed")
+    _field(top, "description", path, _as_str, "")
+    claims = [_as_claim(c, p) for c, p in _field(top, "claims", path, _items, [])]
+    body = {key: v for key, v in top.items() if key not in _ENVELOPE}
     t0 = time.perf_counter()
-    status, results, table = _RUNNERS[kind](top)
+    status, table = "ok", None
+    try:
+        results, table = _RUNNERS[kind](body)
+    except CapExceeded as exc:
+        status, results = "cap-exceeded", {"error": str(exc)}
+    except SurjectivityError as exc:
+        status, results = "surjectivity-failed", {"error": str(exc)}
+    except ValueError as exc:
+        raise _ctx(path, str(exc)) from exc
     elapsed = time.perf_counter() - t0
     return Report(
         scenario=name,
@@ -570,7 +532,7 @@ def run_payload(payload: Any) -> Report:
         status=status,
         results=results,
         # Only an ok run has results to check; every other lookup misses.
-        claims=_evaluate_claims(claims, results if status == "ok" else {}),
+        claims=[_verdict(text, check, results if status == "ok" else {}) for text, check in claims],
         timings={"total_s": elapsed},
         table=table,
     )

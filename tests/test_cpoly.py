@@ -13,6 +13,7 @@ from coverext.cpoly import (
     sylvester_matrix,
     sylvester_resultant,
 )
+from coverext.errors import NumericFailure
 
 from oracles import companion_roots, discriminant_by_roots, resultant_by_roots
 
@@ -96,6 +97,11 @@ def test_roots_with_exact_zeros_and_multiplicity():
     rs = sorted(roots(dbl), key=lambda z: z.real)
     assert abs(rs[0] + 2) < 1e-9
     assert abs(rs[1] - 1) < 1e-6 and abs(rs[2] - 1) < 1e-6
+
+
+def test_nan_coefficient_fails_the_residual_check():
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericFailure, match="residual nan"):
+        roots(CPoly((float("nan"), 0.0, 1.0)))
 
 
 @given(coeff_lists(max_degree=5))

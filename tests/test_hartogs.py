@@ -79,6 +79,13 @@ def test_finite_difference_guard_trips_on_coarse_step():
         levi_signature(w, q=2, alpha=3.5, r=0.5, fd_step=0.5)
 
 
+def test_finite_difference_guard_trips_on_a_nan_deviation():
+    # alpha = 1e300 overflows the weight: one Levi entry is NaN, and a
+    # `dev > tol` test would let it through to a made-up signature
+    with pytest.raises(NumericFailure, match=r"by nan at entry \(2, 2\)"):
+        levi_signature([0.3, 0.4, 0.2j], q=1, alpha=1e300, r=0.5)
+
+
 def _check_batched_stencil(w, q, alpha):
     # levi_signature's defaults: fd_step 1e-4, fd_rel_tol 1e-5
     batched = _fd_complex_hessian(lambda pts: _rho_rows(pts, q, alpha, 0.5), w, 1e-4)

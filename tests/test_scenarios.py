@@ -3,11 +3,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from coverext.errors import SchemaError
+from coverext.errors import CapExceeded, DegenerateCover, NotSmooth, NumericFailure, SchemaError
+from coverext.monodromy import MonodromyResult
 from coverext.scenarios import (
     Report,
     bundled_scenario_names,
@@ -72,6 +74,8 @@ def test_schema_rejections():
         run_payload(small_extension([claim("b1")]))
     with pytest.raises(SchemaError, match=r"at scenario\.cap: expected a positive integer, got 0"):
         run_payload(small_extension(cap=0))
+    with pytest.raises(SchemaError, match=r"at scenario\.claims\[0\]\.check\.abs_tol: expected a non-negative"):
+        run_payload(small_extension([claim("b1", close_to=1.0, abs_tol=-1e-9)]))
     bad = small_extension()
     bad["rho0"]["images"]["alpha1"] = [0, 0, 1]
     with pytest.raises(SchemaError, match="alpha1"):
@@ -118,6 +122,14 @@ def test_schema_rejections():
                 "separation_points": [[2.0, 0.0]],
             }
         )
+    with pytest.raises(
+        SchemaError,
+        match=r"at scenario\.check_two_sheet_uniqueness_up_to: expected a positive integer, got -5",
+    ):
+        run_payload(small_extension(check_two_sheet_uniqueness_up_to=-5))
+    empty_case = {"n": 3, "q": 1, "alpha": 1.0, "count": 0, "seed": 0}
+    with pytest.raises(SchemaError, match=r"at scenario\.cases\[0\]\.count: expected a positive integer, got 0"):
+        run_payload({"kind": "hartogs-check", "r": 0.5, "cases": [empty_case]})
     with pytest.raises(SchemaError, match="1 <= q < n"):
         run_payload(
             {
@@ -155,7 +167,16 @@ def test_claim_verdicts():
         dict(claim("fiber_map", close_to=[0, 0, 0], abs_tol=0.0), id="list-close"),
         dict(claim("no.such.path", equals=1), id="dangling"),
         dict(claim(), id="informal"),
+        dict(claim("fiber_map.2", equals=0), id="index"),
+        dict(claim("fiber_map", equals=[False, False, False]), id="bools-vs-ints"),
+        dict(claim("rho1.gamma", equals={"images": [0], "cycles": "()"}), id="object"),
+        dict(claim("rho1.gamma", equals={"images": [False], "cycles": "()"}), id="object-bool"),
+        dict(claim("rho1.gamma", equals={"images": [0]}), id="object-keys"),
     ]
+    # only canonical non-negative decimals index a list; "3" is past the end
+    odd_indices = ("-1", "+0", " 0", "0 ", "00", "3", "0x0", "\u0660")
+    for seg in odd_indices:
+        claims.append(dict(claim(f"fiber_map.{seg}", equals=0), id=f"index {seg!r}"))
     rep = run_payload(small_extension(claims))
     assert rep.status == "ok"
     verdicts = {c["id"]: c["verdict"] for c in rep.claims}
@@ -169,6 +190,12 @@ def test_claim_verdicts():
         "list-close": "MATCHES",
         "dangling": "NOT-CLAIMED",
         "informal": "NOT-CLAIMED",
+        "index": "MATCHES",
+        "bools-vs-ints": "CONTRADICTS",
+        "object": "MATCHES",
+        "object-bool": "CONTRADICTS",
+        "object-keys": "CONTRADICTS",
+        **{f"index {seg!r}": "NOT-CLAIMED" for seg in odd_indices},
     }
     by_id = {c["id"]: c for c in rep.claims}
     assert by_id["match-int"]["computed"] == 1
@@ -254,3 +281,130 @@ def test_report_keeps_the_coset_table_off_the_wire():
     assert rep.table is not None and rep.table.index == rep.results["b1"]
     assert "table" not in json.loads(rep.to_json())
     assert run_bundled("braid_4_3_search").table is None
+
+
+def _set(payload, path, value):
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "scenario, path, value, where",
+    [
+        (
+            "cubic_slice_monodromy",
+            ("cover", "w_coeffs", 2, 0, 1),
+            float("nan"),
+            r"cover\.w_coeffs\[2\]\[0\]\[1\]",
+        ),
+        ("stein_weierstrass", ("separation_points", 1, 1), float("nan"), r"separation_points\[1\]\[1\]"),
+        ("hartogs_signature_sweep", ("cases", 0, "alpha"), float("inf"), r"cases\[0\]\.alpha"),
+        (
+            "example3_extension",
+            ("claims", 0, "check", "equals"),
+            float("nan"),
+            r"claims\[0\]\.check\.equals",
+        ),
+        (  # an integer JSON literal beyond the float range
+            "cubic_slice_monodromy",
+            ("claims", 0, "check", "close_to", 0, 0),
+            10**400,
+            r"claims\[0\]\.check\.close_to\[0\]\[0\]",
+        ),
+    ],
+    ids=["cover-coefficient", "separation-point", "alpha", "claim-value", "claim-huge-integer"],
+)
+def test_non_finite_numbers_rejected_at_the_wire(scenario, path, value, where):
+    payload = _set(load_bundled(scenario), path, value)
+    with pytest.raises(SchemaError, match=rf"at scenario\.{where}: expected a finite number"):
+        run_payload(payload)
+
+
+def test_null_counts_as_absent_only_for_optional_fields():
+    rep = run_payload(small_extension(check_two_sheet_uniqueness_up_to=None))
+    assert rep.status == "ok" and "two_sheet_unique_up_to" not in rep.results
+    line = {"w_coeffs": [[[0.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0]]]}
+    rep = run_payload({"kind": "slice-monodromy", "cover": line, "basepoint": None, "function": None})
+    assert rep.status == "ok" and "separates" not in rep.results
+    for key in ("cap", "surjectivity_assumed", "path_class_pairs", "name", "description", "claims"):
+        with pytest.raises(SchemaError, match=rf"at scenario\.{key}: expected .*, got NoneType"):
+            run_payload(_set(small_extension(), (key,), None))
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            small_extension(rho0={"degree": 3, "images": {"alpha1": [0, 1, 2], "alpha2": [0, 2, 1]}}),
+            "transitive",
+        ),
+        (
+            {
+                "kind": "slice-monodromy",
+                "cover": {"w_coeffs": [[[0.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0]]]},
+                "basepoint": [0.0, 0.0],
+            },
+            "branch point",
+        ),
+        (_set(load_bundled("hartogs_signature_sweep"), ("r",), 1.5), "strictly between 0 and 1"),
+    ],
+    ids=["non-transitive-rho0", "basepoint-on-branch-point", "r-outside-unit-interval"],
+)
+def test_rejected_run_input_is_a_schema_error(payload, message):
+    with pytest.raises(SchemaError, match=rf"^at scenario: .*{message}"):
+        run_payload(payload)
+
+
+def test_slice_closure_cap_reports_cap_exceeded(monkeypatch):
+    # a degree-10 slice such as w^10 + w + z reaches this point after ~20 s
+    def capped(self, cap=1_000_000):
+        raise CapExceeded(f"group order exceeds cap {cap}")
+
+    monkeypatch.setattr(MonodromyResult, "closure_order", capped)
+    rep = run_bundled("cubic_slice_monodromy")
+    assert rep.status == "cap-exceeded"
+    assert rep.results == {"error": "group order exceeds cap 1000000"}
+    assert {c["verdict"] for c in rep.claims} == {"NOT-CLAIMED"}
+
+
+CONTRACT_VALUES = [None, True, -1, 0, 1.5, "x", [], {}, float("nan"), float("inf")]
+FREE_TEXT = {"id", "source", "statement", "description", "name"}
+
+
+def _input_leaves(obj, path=()):
+    """Paths to every scalar or empty-container leaf, free text left out."""
+    if isinstance(obj, dict) and obj:
+        for key, v in obj.items():
+            if key not in FREE_TEXT:
+                yield from _input_leaves(v, path + (key,))
+    elif isinstance(obj, list) and obj:
+        for i, v in enumerate(obj):
+            yield from _input_leaves(v, path + (i,))
+    else:
+        yield path
+
+
+def _refuse_constant(name):
+    raise ValueError(f"report holds the non-finite constant {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", BUNDLED)
+def test_seeded_error_contract(name):
+    """One input leaf replaced by an odd value either still gives a finite
+    report or raises one of the typed errors the command line maps."""
+    base = load_bundled(name)
+    leaves = list(_input_leaves(base))
+    rng = random.Random(f"error-contract {name}")
+    for _ in range(40):
+        path, value = rng.choice(leaves), rng.choice(CONTRACT_VALUES)
+        try:
+            rep = run_payload(_set(copy.deepcopy(base), path, value))
+            json.loads(rep.to_json(), parse_constant=_refuse_constant)
+        except (SchemaError, NumericFailure, DegenerateCover, NotSmooth):
+            pass
+        except Exception as exc:  # noqa: BLE001 - any other type breaks the contract
+            pytest.fail(f"{name}: {path} = {value!r} gave {exc!r}")
