@@ -1,0 +1,79 @@
+"""Time slice monodromy over the generic-cover corpus and group orders up to S10.
+
+For each cover of the corpus (seeds 100-159, ``tests/oracles.generic_cover_rows``:
+degree 3 + seed % 6 in w, coefficients of z-degree 1 or 2) this prints the
+wall time of ``full_monodromy``, the number of branch points, the order of the
+lasso group (``closure_order``) or the error the cover raised, and the total.
+A cover that answers with a lasso product other than its boundary loop ends
+the script with a non-zero exit status; a raised error is printed and counted
+but is not a wrong answer.
+
+It then times ``generated_order`` on generators of S8, S9 and S10 (an adjacent
+transposition and an n-cycle, and the n-2 consecutive 3-cycles of A_n); a
+wrong order also ends the script with a non-zero exit status.
+
+    python scripts/scale_monodromy.py
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+import time
+from pathlib import Path
+
+from coverext.cpoly import BivarPoly
+from coverext.errors import CapExceeded, NumericFailure
+from coverext.monodromy import CoverSlice, full_monodromy
+from coverext.perms import Perm, generated_order
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import generic_cover_rows  # noqa: E402
+
+SEEDS = range(100, 160)
+DEGREES = (8, 9, 10)
+
+
+def timed(fn):
+    t0 = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - t0
+
+
+def main() -> None:
+    print(f"{'seed':>5} {'d':>3} {'branch':>7} {'monodromy_s':>12} {'order':>10}")
+    total, errors = 0.0, 0
+    for seed in SEEDS:
+        rows = generic_cover_rows(seed)
+        cover = CoverSlice(BivarPoly.from_lists(rows))
+        try:
+            mono, dt = timed(lambda: full_monodromy(cover))
+        except NumericFailure as exc:
+            errors += 1
+            print(f"{seed:>5} {len(rows) - 1:>3} {'-':>7} {'-':>12} raised: {exc}", flush=True)
+            continue
+        total += dt
+        if not mono.product_matches_boundary:
+            raise SystemExit(f"seed {seed}: lasso product {mono.product_perm} != boundary {mono.boundary_perm}")
+        try:
+            order = str(mono.closure_order())
+        except CapExceeded as exc:
+            order = str(exc)
+        print(f"{seed:>5} {len(rows) - 1:>3} {len(mono.branch):>7} {dt:>12.3f} {order:>10}", flush=True)
+    print(f"total {total:.2f} s over {len(SEEDS) - errors} covers, {errors} raised")
+
+    print(f"\n{'group':>6} {'generated_order_s':>18} {'order':>9}")
+    for n in DEGREES:
+        cases = (
+            (f"S{n}", [Perm.transposition(n, 0, 1), Perm.from_cycles(n, [tuple(range(n))])], math.factorial(n)),
+            (f"A{n}", [Perm.from_cycles(n, [(i, i + 1, i + 2)]) for i in range(n - 2)], math.factorial(n) // 2),
+        )
+        for name, gens, want in cases:
+            order, dt = timed(lambda: generated_order(gens, cap=want))
+            if order != want:
+                raise SystemExit(f"wrong order for {name}: {order} != {want}")
+            print(f"{name:>6} {dt:>18.4f} {order:>9}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

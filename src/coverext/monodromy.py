@@ -9,8 +9,11 @@ counterclockwise circle, and the reversed approach.  Path nodes are spaced
 by one local rule, 0.35 x the distance to the nearest branch point (at least
 the smallest lasso radius) over ``refine``.  Fibers are continued along the
 paths with an adaptive corrector that never lets a sheet move more than a
-third of the current fiber separation in one step, bisecting where needed,
-so sheet identities cannot be exchanged silently.
+third of its own distance to the nearest other sheet in one step, bisecting
+where needed, so sheet identities cannot be exchanged silently (the
+triangle-inequality argument is in :func:`track_path`).  Each sheet answers
+to its own spacing, so a fast sheet far from the others does not force the
+step down to the separation of two slow ones.
 
 Sheet indices always refer to the basepoint fiber sorted by (real, imag).
 """
@@ -86,14 +89,22 @@ def z_discriminant(cover: CoverSlice, strip_tol: float = 1e-9) -> CPoly:
     return CPoly(cleaned)
 
 
-def _newton_w(p: CPoly, dp: CPoly, w: complex, max_iter: int = 30) -> complex | None:
-    """Newton's iteration on p (a polynomial in w or in z) from w; None unless
-    a step shrinks below 1e-13 relative within ``max_iter`` steps."""
+def _newton_w(coeffs: Sequence[complex], w: complex, max_iter: int = 30) -> complex | None:
+    """Newton's iteration on the polynomial with constant-first ``coeffs`` (in
+    w or in z) from w; None unless a step shrinks below 1e-13 relative within
+    ``max_iter`` steps.  One Horner loop evaluates p and p' together, each
+    with the operations of its own Horner evaluation.  Nothing is coerced:
+    ``branch_points`` refines numpy scalars, whose bits reach the reports."""
+    terms = [(coeffs[k], k * coeffs[k]) for k in range(len(coeffs) - 1, 0, -1)]
     for _ in range(max_iter):
-        d = dp(w)
+        p = d = 0j
+        for c, kc in terms:
+            p = p * w + c
+            d = d * w + kc
+        p = p * w + coeffs[0]
         if d == 0:
             return None
-        step = p(w) / d
+        step = p / d
         w = w - step
         if abs(step) < 1e-13 * (1.0 + abs(w)):
             return w
@@ -162,7 +173,7 @@ def branch_points(
         deriv = disc
         for _ in range(m - 1):
             deriv = deriv.derivative()
-        refined = _newton_w(deriv, deriv.derivative(), centroid, max_iter=60)
+        refined = _newton_w(deriv.coeffs, centroid, max_iter=60)
         ok = refined is not None and abs(refined - centroid) <= 3 * tau
         if ok:
             d = disc
@@ -188,6 +199,14 @@ def _minsep(points: Sequence[complex]) -> float:
     )
 
 
+def _reach(fiber: Sequence[complex]) -> list[float]:
+    """A third of each sheet's distance to the nearest other sheet."""
+    return [
+        min((abs(w - v) for j, v in enumerate(fiber) if j != i), default=math.inf) / 3
+        for i, w in enumerate(fiber)
+    ]
+
+
 def track_path(
     cover: CoverSlice,
     nodes: Sequence[complex],
@@ -197,27 +216,36 @@ def track_path(
     """Continue the fiber along a polyline, keeping sheet order.
 
     Each step Newton-corrects every sheet at the new z and is accepted only
-    when every correction converged and no sheet moved more than a third of
-    the previous fiber's minimal separation; otherwise the step is bisected
-    (up to ``max_depth`` levels, then :class:`NumericFailure`).
+    when every correction converged and each sheet i moved less than r_i / 3,
+    where r_i is its distance to the nearest other sheet of the previous
+    fiber; otherwise the step is bisected (up to ``max_depth`` levels, then
+    :class:`NumericFailure`).  An accepted step exchanges no sheets: r_i and
+    r_j are both at most |w_i - w_j|, so by the triangle inequality the
+    corrected sheets stay more than |w_i - w_j| / 3 apart, and the new w_i
+    lies within r_i / 3 of w_i but at least 2 r_i / 3 from every other w_j.
+    A fast, isolated sheet is thus held to its own spacing, not to that of
+    two slow ones elsewhere in the fiber.
+
+    The corrector works on Python complex values: the w-coefficients at z
+    are evaluated once per step into a plain list, and the limits r_i / 3 are
+    recomputed only when a step is accepted.
     """
-    fiber = list(start_fiber)
+    rows = cover.poly.w_coeffs
+    fiber = [complex(w) for w in start_fiber]
+    reach = _reach(fiber)
 
     def advance(z_to: complex, depth: int, z_from: complex) -> None:
-        nonlocal fiber
-        p = cover.poly.at_z(z_to)
-        dp = p.derivative()
-        sep = _minsep(fiber)
+        nonlocal fiber, reach
+        coeffs = [row(z_to) for row in rows]
         corrected: list[complex] = []
-        ok = True
-        for w in fiber:
-            w2 = _newton_w(p, dp, w)
-            if w2 is None or abs(w2 - w) >= sep / 3:
-                ok = False
+        for w, limit in zip(fiber, reach):
+            w2 = _newton_w(coeffs, w)
+            if w2 is None or abs(w2 - w) >= limit:
                 break
             corrected.append(w2)
-        if ok:
+        else:
             fiber = corrected
+            reach = _reach(fiber)
             return
         if depth >= max_depth:
             raise NumericFailure(
@@ -318,6 +346,25 @@ def _loop_nodes(
         step,
     )
     return approach + turn + approach[-2::-1]
+
+
+def _loops(
+    basepoint: complex,
+    branch: Sequence[complex],
+    radii: Sequence[float],
+    refine: int,
+) -> list[list[complex]]:
+    """Node lists of the lasso around each branch point, in the given order,
+    and last of the boundary loop: a circle about the branch points' mean
+    that encloses every lasso disk and the basepoint."""
+    step = _step_rule(branch, radii, refine)
+    disks = list(zip(branch, radii))
+    m = sum(branch) / len(branch)
+    spread = max(abs(c - m) for c in branch)
+    rr = max(abs(c - m) + 2.5 * r for c, r in disks)
+    rr = max(rr, abs(basepoint - m)) + 0.1 * (1.0 + spread)
+    loops = [(c, r, disks[:k] + disks[k + 1:]) for k, (c, r) in enumerate(disks)] + [(m, rr, disks)]
+    return [_loop_nodes(basepoint, c, r, obs, step) for c, r, obs in loops]
 
 
 def lasso_radii(branch: Sequence[complex], basepoint: complex) -> tuple[float, ...]:
@@ -426,17 +473,9 @@ def full_monodromy(
     )
     branch_ord = tuple(branch[k] for k in order)
     radii = lasso_radii(branch_ord, basepoint)
-    step = _step_rule(branch_ord, radii, refine)
-    disks = list(zip(branch_ord, radii))
-    # the boundary circle encloses every lasso disk and the basepoint
-    m = sum(branch_ord) / len(branch_ord)
-    spread = max(abs(c - m) for c in branch_ord)
-    rr = max(abs(c - m) + 2.5 * r for c, r in disks)
-    rr = max(rr, abs(basepoint - m)) + 0.1 * (1.0 + spread)
-    loops = [(c, r, disks[:k] + disks[k + 1:]) for k, (c, r) in enumerate(disks)] + [(m, rr, disks)]
     *perms, boundary = [
-        _match_perm(fiber0, track_path(cover, _loop_nodes(basepoint, c, r, obs, step), fiber0))
-        for c, r, obs in loops
+        _match_perm(fiber0, track_path(cover, nodes, fiber0))
+        for nodes in _loops(basepoint, branch_ord, radii, refine)
     ]
 
     product = Perm.identity(cover.degree)

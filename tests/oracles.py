@@ -3,12 +3,15 @@
 Nothing here goes through the package's own algorithms: roots come from
 numpy's companion matrix, resultants and discriminants from root-product
 formulas, group-theoretic counts from breadth-first search on raw index
-tuples.  The word oracles use only ``Word`` multiplication and inversion, one
+tuples, lasso permutations from nearest-root matching of companion-matrix
+fibers along a fine uniform subdivision.  The word oracles use only ``Word`` multiplication and inversion, one
 factor at a time, as the reference for batched substitution and powers.
 Coset tables are checked entry by entry on their raw rows.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -78,6 +81,29 @@ def orbit_size(images: list[tuple[int, ...]], start: int) -> int:
                     nxt.append(y)
         frontier = nxt
     return len(seen)
+
+
+def closure(images: list[tuple[int, ...]], cap: int) -> set[tuple[int, ...]] | None:
+    """Every element of the group the image tuples generate, by breadth-first
+    search from the identity (the empty set for no generators), or None once
+    it would hold more than ``cap`` elements."""
+    if not images:
+        return set()
+    ident = tuple(range(len(images[0])))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for t in images:
+                gt = tuple(t[y] for y in g)
+                if gt not in seen:
+                    if len(seen) >= cap:
+                        return None
+                    seen.add(gt)
+                    nxt.append(gt)
+        frontier = nxt
+    return seen
 
 
 def orbit_order(images: list[tuple[int, ...]], start: int) -> list[int]:
@@ -223,3 +249,43 @@ def fd_complex_hessian_loop(f, w: np.ndarray, h: float) -> np.ndarray:
             yx = mixed(j, k, True, False)
             hess[j, k] = 0.25 * ((xx + yy) + 1j * (xy - yx))
     return hess
+
+
+def generic_cover_rows(seed: int) -> list[list[complex]]:
+    """Raw ``w_coeffs`` of the generic-cover corpus (seeds 100-159): degree
+    d = 3 + seed % 6 in w, each c_k(z) of z-degree 1 or 2 with complex normal
+    coefficients drawn one by one from ``default_rng(seed)``, monic."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(3 + seed % 6):
+        zdeg = int(rng.integers(1, 3))
+        rows.append([complex(rng.normal(), rng.normal()) for _ in range(zdeg + 1)])
+    return rows + [[1 + 0j]]
+
+
+def _nearest(w: complex, points: list[complex]) -> int:
+    """Index of the point nearest w; asserts that the second nearest is more
+    than three times as far, so the choice is unambiguous."""
+    dists = sorted((abs(w - v), j) for j, v in enumerate(points))
+    assert len(dists) < 2 or 3 * dists[0][0] < dists[1][0], f"ambiguous match for {w}"
+    return dists[0][1]
+
+
+def loop_perm_by_matching(rows, nodes, fiber0, h: float) -> tuple[int, ...]:
+    """Image tuple of the loop through ``nodes`` (starting and ending at the
+    z of ``fiber0``) on the sheets ``fiber0``.  Each segment is cut into
+    equal pieces no longer than h; at every cut the fiber is recomputed from
+    companion-matrix roots and each sheet moves to the nearest new root.
+    Every matching must be unambiguous and a bijection."""
+    cur = [complex(w) for w in fiber0]
+    for a, b in zip(nodes, nodes[1:]):
+        pieces = max(1, math.ceil(abs(b - a) / h))
+        for s in range(1, pieces + 1):
+            z = a + (b - a) * s / pieces
+            fib = companion_roots([horner(row, z) for row in rows])
+            idx = [_nearest(w, fib) for w in cur]
+            assert len(set(idx)) == len(idx), f"two sheets matched one root at z = {z}"
+            cur = [fib[j] for j in idx]
+    images = tuple(_nearest(w, list(fiber0)) for w in cur)
+    assert sorted(images) == list(range(len(fiber0)))
+    return images

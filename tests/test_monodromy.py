@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from coverext.cpoly import BivarPoly, CPoly
 from coverext.errors import DegenerateCover
 from coverext.monodromy import (
     CoverSlice,
+    _loops,
     auto_basepoint,
     branch_points,
     full_monodromy,
@@ -20,7 +22,7 @@ from coverext.monodromy import (
 )
 from coverext.scenarios import run_payload
 
-from oracles import companion_roots, orbit_size
+from oracles import companion_roots, generic_cover_rows, loop_perm_by_matching, orbit_size
 
 # w^3 + (1/4)^(1/3) w + z/sqrt(27): discriminant is z^2 - 1, branch points -1 and 1
 C1 = 0.25 ** (1 / 3)
@@ -211,6 +213,16 @@ def test_unbranched_cover_generates_the_trivial_group():
     assert report.results["closure_order"] == 1
 
 
+def test_degree_ten_slice_exceeds_the_closure_cap_quickly():
+    # w^10 + w + z: nine simple branch points, lasso group S10 (3628800 > 10^6)
+    cover = {"w_coeffs": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]] + [[[0.0, 0.0]]] * 8 + [[[1.0, 0.0]]]}
+    t0 = perf_counter()
+    report = run_payload({"kind": "slice-monodromy", "name": "degree-10", "cover": cover})
+    assert perf_counter() - t0 < 5.0
+    assert report.status == "cap-exceeded"
+    assert report.results == {"error": "group closure exceeded cap 1000000"}
+
+
 def test_basepoint_on_branch_point_rejected():
     with pytest.raises(ValueError, match="branch point"):
         full_monodromy(STEIN, basepoint=0.0)
@@ -282,3 +294,32 @@ def test_branch_points_of_a_slowly_converging_discriminant():
     assert len(want) == len(got) == 22
     for z in want:
         assert min(abs(z - g) for g in got) < 1e-9
+
+
+# lasso permutations of corpus seed 121 as the fiber-wide step limit found them
+PERMS_121 = [
+    (3, 1, 2, 0), (0, 2, 1, 3), (1, 0, 2, 3), (3, 1, 2, 0), (0, 2, 1, 3), (0, 1, 3, 2),
+    (0, 1, 3, 2), (0, 3, 2, 1), (1, 0, 2, 3), (0, 2, 1, 3), (0, 3, 2, 1), (2, 1, 0, 3),
+]
+
+
+def test_isolated_fast_sheet_does_not_hold_up_the_tracker():
+    # corpus seed 121 (d = 4): one sheet grows like z^2 and sits at |w| = 1582
+    # at the basepoint, the other three within 0.43 of each other; under a
+    # fiber-wide step limit the fast sheet was held to their spacing (88 s)
+    cover = CoverSlice(BivarPoly.from_lists(generic_cover_rows(121)))
+    t0 = perf_counter()
+    mono = full_monodromy(cover)
+    assert perf_counter() - t0 < 5.0
+    assert mono.product_matches_boundary
+    assert [p.images for p in mono.perms] == PERMS_121
+
+
+@pytest.mark.parametrize("seed", [102, 103, 108, 109])
+def test_lasso_permutations_match_nearest_root_continuation(seed):
+    rows = generic_cover_rows(seed)
+    mono = full_monodromy(CoverSlice(BivarPoly.from_lists(rows)))
+    loops = _loops(mono.basepoint, mono.branch, mono.radii, 1)
+    h = min(mono.radii) / 8
+    got = [loop_perm_by_matching(rows, nodes, mono.fiber, h) for nodes in loops]
+    assert got == [p.images for p in mono.perms] + [mono.boundary_perm.images]

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from coverext.errors import CapExceeded
 from coverext.perms import Perm, format_cycles, generate, generated_order
+
+from oracles import closure
 
 
 @st.composite
@@ -111,6 +114,65 @@ def test_generate_cap():
     gens = [Perm.from_cycles(8, [(0, 1, 2, 3, 4, 5, 6, 7)]), Perm.transposition(8, 0, 1)]
     with pytest.raises(CapExceeded):
         generated_order(gens, cap=100)
+
+
+def _block_images(rng: np.random.Generator, n: int) -> list[tuple[int, ...]]:
+    """1-3 permutations of degree n that each shuffle some blocks of one
+    random partition of the points into at most three blocks, so the group
+    may be intransitive or trivial."""
+    ncuts = min(n - 1, int(rng.integers(0, 3)))
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), size=ncuts, replace=False))
+    blocks = np.split(rng.permutation(n), cuts)
+    out = []
+    for _ in range(int(rng.integers(1, 4))):
+        img = list(range(n))
+        for blk in blocks:
+            if rng.uniform() < 0.7:
+                img_blk = rng.permutation(blk)
+                for x, y in zip(blk, img_blk):
+                    img[x] = int(y)
+        out.append(tuple(img))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generated_order_matches_the_closure_by_breadth_first_search(seed):
+    rng = np.random.default_rng([seed, 2005])
+    cap = 5000
+    for _ in range(60):
+        n = int(rng.integers(1, 10))
+        images = _block_images(rng, n)
+        want = closure(images, cap)
+        gens = [Perm(t) for t in images]
+        if want is None:
+            with pytest.raises(CapExceeded, match=f"^group closure exceeded cap {cap}$"):
+                generated_order(gens, cap=cap)
+        else:
+            assert generated_order(gens, cap=cap) == len(want)
+
+
+def test_generated_order_cap_boundary():
+    def cyc(n, *cycles):
+        return Perm.from_cycles(n, cycles)
+
+    groups = [
+        [cyc(3, (0, 1)), cyc(3, (0, 1, 2))],  # S3
+        [cyc(4, (0, 1, 2)), cyc(4, (1, 2, 3))],  # A4
+        [cyc(6, (0, 1, 2, 3, 4, 5))],  # C6
+        [cyc(7, (0, 1)), cyc(7, (2, 3, 4)), cyc(7, (5, 6))],  # C2 x C3 x C2, intransitive
+        [cyc(5, (0, 1)), cyc(5, (0, 1, 2, 3, 4))],  # S5
+        [cyc(8, (0, 1, 2, 3), (4, 5, 6, 7)), cyc(8, (0, 4), (1, 7), (2, 6), (3, 5))],  # D4, regular on 8 points
+    ]
+    for gens in groups:
+        order = len(closure([g.images for g in gens], 10**6))
+        assert generated_order(gens, cap=order) == order
+        for fn in (generated_order, generate):
+            with pytest.raises(CapExceeded, match=f"^group closure exceeded cap {order - 1}$"):
+                fn(gens, cap=order - 1)
+    # the trivial group never exceeds a cap, as under the breadth-first closure
+    ident = [Perm.identity(4)]
+    assert generated_order(ident, cap=0) == len(generate(ident, cap=0)) == 1
+    assert generated_order([]) == len(generate([])) == 0
 
 
 def test_sign_and_fixed_points():
