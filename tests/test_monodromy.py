@@ -280,15 +280,10 @@ def test_generic_cover_lassos_compose_to_the_boundary_loop(seed):
 
 
 def test_branch_points_of_a_slowly_converging_discriminant():
-    # d = 7 with coefficients c_k(z) of z-degree 1 or 2 drawn from
-    # default_rng(100); Aberth iterates on its degree-22 discriminant stall
-    # for 12 sweeps before they converge
-    rng = np.random.default_rng(100)
-    rows = []
-    for _ in range(7):
-        zdeg = int(rng.integers(1, 3))
-        rows.append([complex(rng.normal(), rng.normal()) for _ in range(zdeg + 1)])
-    cover = CoverSlice(BivarPoly.from_lists(rows + [[1.0]]))
+    # corpus seed 100: d = 7 with coefficients c_k(z) of z-degree 1 or 2;
+    # Aberth iterates on its degree-22 discriminant stall for 12 sweeps
+    # before they converge
+    cover = CoverSlice(BivarPoly.from_lists(generic_cover_rows(100)))
     want = companion_roots(z_discriminant(cover).coeffs)
     got = branch_points(cover)
     assert len(want) == len(got) == 22
