@@ -9,8 +9,12 @@ the transversal words, so ten times the sheets should cost a little over ten
 times the time.
 
 It then times ``todd_coxeter`` on the Coxeter presentations of S7 and S8 over
-the trivial subgroup (5040 and 40320 cosets, one sweep each).  A wrong
-``b1`` or coset count ends the script with a non-zero exit status.
+the trivial subgroup (5040 and 40320 cosets, one sweep each), and
+``hom_search`` at the benchmark sizes (4 strands into S4, 3 into S5) and at
+the scaled size 3 into S6 (6480 solutions).  Every braid solution is chased
+point by point through every relator with ``tests/oracles.chase``, and the
+solution set is compared with a brute-force search.  A wrong ``b1``, coset
+count or braid solution ends the script with a non-zero exit status.
 
     python scripts/scale_groups.py
 """
@@ -24,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from coverext.braids import braid_presentation, hom_search
 from coverext.cosets import Presentation, schreier_generators, todd_coxeter
 from coverext.extension import Inclusion, weak_extend
 from coverext.perms import Perm
@@ -31,12 +36,13 @@ from coverext.reps import PermRep
 from coverext.words import Word
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import coxeter_presentation, random_transitive_images  # noqa: E402
+from oracles import braid_homs_by_chase, chase, coxeter_presentation, random_transitive_images  # noqa: E402
 
 SIZES = (2000, 20000, 100000)
 GENERATORS = 2
 SEED = 2015
 COXETER = (7, 8)
+BRAIDS = ((4, 4), (3, 5), (3, 6))  # (strands, degree)
 
 
 def timed(fn):
@@ -65,6 +71,19 @@ def main() -> None:
         if table.index != math.factorial(n):
             raise SystemExit(f"wrong index for S{n}: {table.index} != {math.factorial(n)}")
         print(f"{'S' + str(n):>8} {t_tc:>15.3f} {table.index:>8}", flush=True)
+    print(f"\n{'strands':>8} {'degree':>7} {'hom_search_s':>13} {'solutions':>10} {'brute_force_s':>14}")
+    for m, degree in BRAIDS:
+        sols, t_hom = timed(lambda: hom_search(m, degree))
+        relators = braid_presentation(m).relators
+        for sol in sols:
+            images = {n: p.images for n, p in sol.items()}
+            if any(chase(images, r, x) != x for r in relators for x in range(degree)):
+                raise SystemExit(f"hom_search({m}, {degree}): {images} breaks a braid relator")
+        brute, t_brute = timed(lambda: braid_homs_by_chase(m, degree))
+        got = {tuple(sol[f"s{i}"].images for i in range(1, m)) for sol in sols}
+        if len(got) != len(sols) or got != brute:
+            raise SystemExit(f"hom_search({m}, {degree}): {len(sols)} solutions, brute force {len(brute)}")
+        print(f"{m:>8} {degree:>7} {t_hom:>13.3f} {len(sols):>10} {t_brute:>14.3f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -14,16 +14,19 @@ construction.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .cosets import Presentation
 from .errors import CapExceeded
 from .extension import Inclusion
-from .perms import Perm
+from .perms import Perm, inverse_images
 from .reps import PermRep
 from .words import Word
+
+
+_GENERATOR_RE = re.compile(r"s([1-9][0-9]*)")
 
 
 def braid_generator_names(m: int) -> tuple[str, ...]:
@@ -59,67 +62,120 @@ def braid_inclusion(m_small: int, m_big: int) -> Inclusion:
     return Inclusion(small, {g: Word.gen(g) for g in small}, braid_presentation(m_big))
 
 
-def _chase(images: Mapping[str, tuple[int, ...]], word: Word, x: int) -> int:
-    """Trace one point through a word using only raw image tuples."""
-    for name, step in word.letters():
-        row = images[name]
-        x = row[x] if step > 0 else row.index(x)
-    return x
+def _fixes_every_point(
+    images: Mapping[str, tuple[int, ...]],
+    letters: Sequence[tuple[str, int]],
+    degree: int,
+) -> bool:
+    """Trace each point through the letters on raw image tuples, inverting
+    with ``row.index``; true when every point comes back to itself."""
+    for start in range(degree):
+        x = start
+        for name, step in letters:
+            row = images[name]
+            x = row[x] if step > 0 else row.index(x)
+        if x != start:
+            return False
+    return True
 
 
 def relator_holds_pointwise(images: Mapping[str, tuple[int, ...]], relator: Word, degree: int) -> bool:
     """Independent relator check: the relator must fix every point."""
-    return all(_chase(images, relator, x) == x for x in range(degree))
+    return _fixes_every_point(images, tuple(relator.letters()), degree)
 
 
-def _relator_holds_composed(images: Mapping[str, Perm], relator: Word, degree: int) -> bool:
-    return PermRep(degree, dict(images)).act_word(relator).is_identity()
+def _composes_to_identity(
+    images: Mapping[str, tuple[int, ...]],
+    inverses: Mapping[str, tuple[int, ...]],
+    letters: Sequence[tuple[str, int]],
+    degree: int,
+) -> bool:
+    """Compose whole image tuples left to right, inverses read from ``inverses``."""
+    acc = identity = tuple(range(degree))
+    for name, step in letters:
+        acc = tuple(map((images if step > 0 else inverses)[name].__getitem__, acc))
+    return acc == identity
 
 
-def _check_both_ways(images: Mapping[str, Perm], relator: Word, degree: int) -> bool:
-    a = _relator_holds_composed(images, relator, degree)
-    b = relator_holds_pointwise({n: p.images for n, p in images.items()}, relator, degree)
+def _check_both_ways(
+    images: Mapping[str, tuple[int, ...]],
+    inverses: Mapping[str, tuple[int, ...]],
+    letters: Sequence[tuple[str, int]],
+    degree: int,
+) -> bool:
+    """Judge one relator, given as its letters, by both evaluators.
+
+    Composition reads the inverse tables; point chasing inverts with
+    ``row.index`` and never sees them, so the two share no derived data.
+    """
+    a = _composes_to_identity(images, inverses, letters, degree)
+    b = _fixes_every_point(images, letters, degree)
     if a != b:
-        raise RuntimeError(f"relator evaluators disagree on {relator} with {images}")
+        raise RuntimeError(f"relator evaluators disagree on {Word(tuple(letters))} with {dict(images)}")
     return a
 
 
 def _assignments(
     degree: int,
     relators: Sequence[Word],
-    fixed: Mapping[str, Perm],
-    slots: Sequence[tuple[str, Sequence[Perm]]],
-) -> Iterator[dict[str, Perm]]:
+    fixed: Mapping[str, tuple[int, ...]],
+    slots: Sequence[tuple[str, Sequence[tuple[int, ...]]]],
+) -> Iterator[dict[str, tuple[int, ...]]]:
     """Every extension of ``fixed`` on which all relators hold, depth first.
 
-    ``slots`` gives the generators still to assign, in order, each with its
-    candidate images.  Relators on ``fixed`` generators only are judged once,
-    up front; every other relator is judged once per partial assignment, when
-    the last generator of its support is assigned, by both evaluators.
+    Assignments are raw image tuples.  ``slots`` gives the generators still to
+    assign, in order, each with its candidate images.  Relators on ``fixed``
+    generators only are judged once, up front; every other relator is judged
+    once per partial assignment, when the last generator of its support is
+    assigned, by both evaluators.  Each relator is compiled to its letters
+    once per call, and each candidate is inverted once, when it is assigned.
     """
-    supports = [(r, set(r.generators())) for r in relators]
+    compiled = [(tuple(r.letters()), set(r.generators())) for r in relators]
     known = set(fixed)
-    on_fixed = [r for r, support in supports if support <= known]
-    due: list[list[Word]] = []
+    on_fixed = [letters for letters, support in compiled if support <= known]
+    due: list[list[tuple[tuple[str, int], ...]]] = []
     for name, _ in slots:
         known.add(name)
-        due.append([r for r, support in supports if name in support and support <= known])
-    assigned = dict(fixed)
-    if not all(_check_both_ways(assigned, r, degree) for r in on_fixed):
+        due.append([letters for letters, support in compiled if name in support and support <= known])
+    images = dict(fixed)
+    inverses = {name: inverse_images(img) for name, img in fixed.items()}
+    if not all(_check_both_ways(images, inverses, r, degree) for r in on_fixed):
         return
 
-    def extend(i: int) -> Iterator[dict[str, Perm]]:
+    def extend(i: int) -> Iterator[dict[str, tuple[int, ...]]]:
         if i == len(slots):
-            yield dict(assigned)
+            yield dict(images)
             return
         name, candidates = slots[i]
-        for p in candidates:
-            assigned[name] = p
-            if all(_check_both_ways(assigned, r, degree) for r in due[i]):
+        for img in candidates:
+            images[name] = img
+            inverses[name] = inverse_images(img)
+            if all(_check_both_ways(images, inverses, r, degree) for r in due[i]):
                 yield from extend(i + 1)
-        del assigned[name]
+        del images[name], inverses[name]
 
     yield from extend(0)
+
+
+def _is_generator_name(name: str, m: int) -> bool:
+    """Whether ``name`` is one of s1..s{m-1}, without listing them."""
+    match = _GENERATOR_RE.fullmatch(name)
+    return match is not None and int(match.group(1)) < m
+
+
+def _space_exceeds(degree: int, free: int, cap: int) -> bool:
+    """Whether ``factorial(degree) ** free`` exceeds ``cap``.
+
+    The product is built factor by factor and stops as soon as it passes
+    ``cap``, so a huge ``degree`` or ``free`` costs about log2(cap) steps.
+    """
+    space = 1
+    for _ in range(free if degree > 1 else 0):
+        for k in range(2, degree + 1):
+            space *= k
+            if space > cap:
+                return True
+    return False
 
 
 def hom_search(
@@ -134,25 +190,30 @@ def hom_search(
     whole symmetric group.  Candidates are pruned as soon as a relator with
     fully assigned support fails (both evaluators are consulted at every
     check, and each relator is checked once per partial assignment).  Raises
-    :class:`CapExceeded` when the raw search space exceeds ``cap`` assignments.
+    :class:`CapExceeded` when the raw search space exceeds ``cap``
+    assignments, before the presentation or any candidate is built.  With
+    every generator pinned only the relators are checked.
     """
-    pres = braid_presentation(m)
-    names = list(pres.generators)
+    if m < 1:
+        raise ValueError("need at least one strand")
     pinned = dict(pinned or {})
     for name, p in pinned.items():
-        if name not in names:
-            raise ValueError(f"pinned generator {name!r} is not one of {names}")
+        if not _is_generator_name(name, m):
+            raise ValueError(f"pinned generator {name!r} is not one of s1..s{m - 1}")
         if p.degree != degree:
             raise ValueError(f"pinned image for {name!r} has degree {p.degree}, expected {degree}")
-    free_names = [n for n in names if n not in pinned]
-    space = factorial(degree) ** len(free_names)
-    if space > cap:
-        raise CapExceeded(f"search space of {space} assignments exceeds cap {cap}")
+    free = m - 1 - len(pinned)
+    if _space_exceeds(degree, free, cap):
+        raise CapExceeded(f"search space of ({degree}!)^{free} assignments exceeds cap {cap}")
 
-    sym = [Perm(p) for p in itertools.permutations(range(degree))]
-    solutions = list(_assignments(degree, pres.relators, pinned, [(n, sym) for n in free_names]))
-    solutions.sort(key=lambda sol: tuple(sol[n].images for n in names))
-    return tuple(solutions)
+    pres = braid_presentation(m)
+    names = pres.generators
+    free_names = [n for n in names if n not in pinned]
+    sym = list(itertools.permutations(range(degree))) if free_names else []
+    fixed = {name: tuple(p.images) for name, p in pinned.items()}
+    solutions = list(_assignments(degree, pres.relators, fixed, [(n, sym) for n in free_names]))
+    solutions.sort(key=lambda sol: tuple(sol[n] for n in names))
+    return tuple({name: Perm(img) for name, img in sol.items()} for sol in solutions)
 
 
 @dataclass(frozen=True)
@@ -193,13 +254,14 @@ def minimal_extension_degree(
 
     for degree in range(max(b0, 1), cap_degree + 1):
         tails = list(itertools.permutations(range(b0, degree)))
-        sym = [Perm(p) for p in itertools.permutations(range(degree))]
-        slots = [(n, [Perm(tuple(rho0.images[n].images) + tail) for tail in tails]) for n in small_names]
+        sym = list(itertools.permutations(range(degree)))
+        slots = [(n, [tuple(rho0.images[n].images) + tail for tail in tails]) for n in small_names]
         slots += [(n, sym) for n in new_names]
-        found = next(
-            (a for a in _assignments(degree, pres.relators, {}, slots) if PermRep(degree, a).is_transitive()),
-            None,
+        reps = (
+            PermRep(degree, {n: Perm(img) for n, img in a.items()})
+            for a in _assignments(degree, pres.relators, {}, slots)
         )
+        found = next((rep for rep in reps if rep.is_transitive()), None)
         if found is not None:
-            return MinimalExtensionResult(degree, found)
+            return MinimalExtensionResult(degree, dict(found.images))
     raise CapExceeded(f"no extension found up to degree cap {cap_degree}")

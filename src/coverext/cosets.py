@@ -166,17 +166,22 @@ class _CapHit(Exception):
 
 class _Enumerator:
     """HLT enumeration; live rows point only at live cosets, and
-    ``rows[a][col] == b`` iff ``rows[b][col ^ 1] == a``."""
+    ``rows[a][col] == b`` iff ``rows[b][col ^ 1] == a``.
+
+    Each coset keeps the record of its definition, ``(record of the defining
+    coset, column)``, with ``None`` for the subgroup; representative words are
+    spelled out from these records only for the cosets alive at the end.
+    """
 
     def __init__(self, pres: Presentation, subgroup: Sequence[Word], cap: int) -> None:
         self.pres = pres
         self.cap = cap
         self.ncols = 2 * len(pres.generators)
         self.col_of = _column_of(pres.generators)
-        self.letters = [Word.gen(g, step) for g in pres.generators for step in (1, -1)]
+        self.letters = [(g, step) for g in pres.generators for step in (1, -1)]
         self.rows: list[list[int | None]] = [[None] * self.ncols]
         self.parent: list[int] = [0]
-        self.words: list[Word] = [Word.identity()]
+        self.defs: list[tuple | None] = [None]
         self.alive = 1
         self.relator_cols = [self._word_cols(r) for r in pres.relators if not r.is_identity()]
         self.subgroup_cols = [self._word_cols(w) for w in subgroup if not w.is_identity()]
@@ -200,13 +205,15 @@ class _Enumerator:
     def _define(self, a: int, col: int) -> None:
         if self.alive >= self.cap:
             raise _CapHit
-        b = len(self.rows)
-        self.rows.append([None] * self.ncols)
+        rows = self.rows
+        b = len(rows)
+        row: list[int | None] = [None] * self.ncols
+        row[col ^ 1] = a
+        rows.append(row)
         self.parent.append(b)
-        self.words.append(self.words[a] * self.letters[col])
+        self.defs.append((self.defs[a], col))
         self.alive += 1
-        self.rows[a][col] = b
-        self.rows[b][col ^ 1] = a
+        rows[a][col] = b
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
         """Identify the classes of ``a`` and ``b``; the larger representative dies."""
@@ -237,25 +244,26 @@ class _Enumerator:
 
     def _scan(self, a: int, cols: Sequence[int], fill: bool) -> None:
         """Scan ``cols`` at live coset ``a``; with ``fill``, define cosets to bridge a gap."""
+        rows = self.rows  # only _compact replaces the table, and it never runs inside a scan
         i, j = 0, len(cols) - 1
         f = b = a
         while True:
-            while i <= j and self.rows[f][cols[i]] is not None:
-                f = self.rows[f][cols[i]]  # type: ignore[assignment]
+            while i <= j and (d := rows[f][cols[i]]) is not None:
+                f = d
                 i += 1
             if i > j:
                 if f != b:
                     self._coincide(f, b)
                 return
-            while j >= i and self.rows[b][cols[j] ^ 1] is not None:
-                b = self.rows[b][cols[j] ^ 1]  # type: ignore[assignment]
+            while j >= i and (d := rows[b][cols[j] ^ 1]) is not None:
+                b = d
                 j -= 1
             if j < i:
                 self._coincide(f, b)
                 return
             if j == i:
-                self.rows[f][cols[i]] = b
-                self.rows[b][cols[i] ^ 1] = f
+                rows[f][cols[i]] = b
+                rows[b][cols[i] ^ 1] = f
                 return
             if not fill:
                 return
@@ -275,7 +283,7 @@ class _Enumerator:
         live = [c for c in range(len(self.rows)) if self.parent[c] == c]
         old2new = {c: i for i, c in enumerate(live)}
         self.rows = [[None if d is None else old2new[d] for d in self.rows[c]] for c in live]
-        self.words = [self.words[c] for c in live]
+        self.defs = [self.defs[c] for c in live]
         self.parent = list(range(len(live)))
         self.alive = len(live)
         return old2new
@@ -309,8 +317,17 @@ class _Enumerator:
                 continue
             alpha += 1
         self._compact()
-        rows = tuple(tuple(int(d) for d in row) for row in self.rows)  # type: ignore[arg-type]
-        return CosetTable(self.pres.generators, rows, tuple(self.words))
+        rows = tuple(tuple(map(int, row)) for row in self.rows)  # type: ignore[arg-type]
+        return CosetTable(self.pres.generators, rows, tuple(self._spell(d) for d in self.defs))
+
+    def _spell(self, record: tuple | None) -> Word:
+        """Representative word of a definition record: its letters, freely reduced
+        once (free reduction is confluent, so this is the word built letter by letter)."""
+        cols: list[int] = []
+        while record is not None:
+            record, col = record
+            cols.append(col)
+        return Word(tuple(self.letters[col] for col in reversed(cols)))
 
 
 def todd_coxeter(

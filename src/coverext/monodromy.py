@@ -536,6 +536,8 @@ def weierstrass_poly_of_function(
     cover: CoverSlice,
     func: BivarPoly,
     strip_tol: float = 1e-8,
+    *,
+    branch: Sequence[complex] | None = None,
 ) -> BivarPoly:
     """Monic polynomial (in a new variable) whose roots over z are the values
     of ``func`` on the fiber: the product of (zeta - func(z, w_i(z))).
@@ -544,14 +546,17 @@ def weierstrass_poly_of_function(
     polynomials in z; they are recovered by sampling on a circle of radius R
     that keeps clear of every branch point and interpolating.  A z^k
     coefficient c is dropped when its size on that circle, |c| R^k, is at most
-    ``strip_tol`` times the largest coefficient (or 1).
+    ``strip_tol`` times the largest coefficient (or 1).  ``branch`` passes the
+    cover's branch points when the caller already has them, in any order (the
+    radius depends only on the set); by default they are computed here.
     """
     b = cover.degree
     max_c_deg = max(max(c.degree for c in cover.poly.w_coeffs), 1)
     bound = b * (max(func.z_degree, 0) + max(func.w_degree, 0) * max_c_deg)
     npts = bound + 1
 
-    branch = branch_points(cover)
+    if branch is None:
+        branch = branch_points(cover)
     radius = 1.37 * (1.0 + max((abs(c) for c in branch), default=0.0))
     for _ in range(60):
         if all(abs(abs(c) - radius) > 1e-3 * radius for c in branch):

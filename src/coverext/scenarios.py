@@ -395,7 +395,7 @@ def _run_slice_monodromy(body: dict) -> _Outcome:
         "closure_order": mono.closure_order(),
     }
     if func is not None:
-        wp = weierstrass_poly_of_function(cover, func)
+        wp = weierstrass_poly_of_function(cover, func, branch=mono.branch)
         results["weierstrass"] = {
             "w_coeffs": [[_c2j(c) for c in row.coeffs] for row in wp.w_coeffs]
         }

@@ -11,6 +11,7 @@ Coset tables are checked entry by entry on their raw rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -133,6 +134,27 @@ def chase(images: dict[str, tuple[int, ...]], word: Word, x: int) -> int:
         for _ in range(abs(exp)):
             x = row[x] if exp > 0 else row.index(x)
     return x
+
+
+def braid_homs_by_chase(m: int, degree: int) -> set[tuple[tuple[int, ...], ...]]:
+    """Every assignment of S_degree to s1..s{m-1} under which each braid
+    relation (s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1}, s_i s_j = s_j s_i for
+    j >= i + 2) takes every point to the same place on both sides, by brute
+    force and ``chase`` on raw tuples."""
+    names = [f"s{i}" for i in range(1, m)]
+    relations = []
+    for i in range(1, m - 1):
+        a, b = f"s{i}", f"s{i + 1}"
+        relations.append((Word(((a, 1), (b, 1), (a, 1))), Word(((b, 1), (a, 1), (b, 1)))))
+        for j in range(i + 2, m):
+            c = f"s{j}"
+            relations.append((Word(((a, 1), (c, 1))), Word(((c, 1), (a, 1)))))
+    out = set()
+    for combo in itertools.product(itertools.permutations(range(degree)), repeat=len(names)):
+        images = dict(zip(names, combo))
+        if all(chase(images, lhs, x) == chase(images, rhs, x) for lhs, rhs in relations for x in range(degree)):
+            out.add(combo)
+    return out
 
 
 def power_iterated(word: Word, k: int) -> Word:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -139,6 +140,9 @@ def test_minimal_extension_input_validation():
         minimal_extension_degree(intransitive, 4)
 
 
+_PINS = np.random.default_rng(9)  # seeded pins for the degree-4 cases below
+
+
 def _braid_homs_brute(m, degree, pinned):
     """Every assignment checked against all relators by Perm arithmetic."""
     names = [f"s{i}" for i in range(1, m)]
@@ -160,6 +164,11 @@ def _braid_homs_brute(m, degree, pinned):
         (4, 3, {"s1": Perm.from_images([1, 0, 2]), "s3": Perm.from_images([0, 2, 1])}),
         (3, 3, {"s1": Perm.from_images([1, 0, 2]), "s2": Perm.from_images([0, 2, 1])}),
         (3, 3, {"s1": Perm.from_images([1, 0, 2]), "s2": Perm.from_images([1, 0, 2])}),
+        (3, 4, {}),
+        (4, 4, {"s2": Perm.from_images(_PINS.permutation(4))}),
+        (4, 4, {"s1": Perm.from_images(_PINS.permutation(4)), "s3": Perm.from_images(_PINS.permutation(4))}),
+        (4, 4, {"s1": Perm.from_images([1, 0, 2, 3]), "s3": Perm.from_images([0, 1, 3, 2])}),
+        (3, 5, {}),
     ],
 )
 def test_hom_search_matches_brute_force_with_pins(m, degree, pinned):
@@ -173,9 +182,9 @@ def test_hom_search_judges_each_candidate_once(monkeypatch):
     calls = []
     real = braids._check_both_ways
 
-    def counting(images, relator, degree):
-        calls.append((tuple(sorted((n, p.images) for n, p in images.items())), str(relator)))
-        return real(images, relator, degree)
+    def counting(images, inverses, letters, degree):
+        calls.append((tuple(sorted(images.items())), tuple(letters)))
+        return real(images, inverses, letters, degree)
 
     monkeypatch.setattr(braids, "_check_both_ways", counting)
     sols = hom_search(3, 3)
@@ -187,3 +196,41 @@ def test_hom_search_judges_each_candidate_once(monkeypatch):
     pinned = {"s1": Perm.from_images([1, 0, 2]), "s3": Perm.from_images([0, 2, 1])}
     assert hom_search(4, 3, pinned) == ()
     assert len(calls) == 1
+
+
+def test_hom_search_raises_when_the_evaluators_disagree(monkeypatch):
+    real = braids._composes_to_identity
+    odd = {"s1": (1, 0, 2), "s2": (0, 2, 1)}  # a genuine solution
+
+    def flipped(images, inverses, letters, degree):
+        holds = real(images, inverses, letters, degree)
+        return not holds if dict(images) == odd else holds
+
+    monkeypatch.setattr(braids, "_composes_to_identity", flipped)
+    with pytest.raises(RuntimeError, match="disagree"):
+        hom_search(3, 3)
+
+
+@pytest.mark.parametrize("name", ["s0", "s3", "s01", "t1", "s", "s1 "])
+def test_hom_search_rejects_unknown_pinned_names(name):
+    with pytest.raises(ValueError, match="not one of"):
+        hom_search(3, 2, {name: Perm.identity(2)})
+
+
+def test_hom_search_cap_is_checked_before_any_building():
+    t0 = perf_counter()
+    for m, degree in ((3000, 2), (10**6, 3), (3, 10**6)):
+        with pytest.raises(CapExceeded):
+            hom_search(m, degree)
+    assert perf_counter() - t0 < 1.0
+
+
+def test_hom_search_with_every_generator_pinned_checks_only_relators():
+    t0 = perf_counter()
+    sol = hom_search(2, 9, {"s1": Perm.identity(9)})
+    assert sol == ({"s1": Perm.identity(9)},)
+    good = {f"s{i}": Perm.transposition(12, i - 1, i) for i in (1, 2, 3)}
+    assert hom_search(4, 12, good) == (good,)
+    bad = dict(good, s3=Perm.transposition(12, 1, 2))  # now s1 and s3 do not commute
+    assert hom_search(4, 12, bad) == ()
+    assert perf_counter() - t0 < 1.0
