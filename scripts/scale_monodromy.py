@@ -4,9 +4,12 @@ For each cover of the corpus (seeds 100-159, ``tests/oracles.generic_cover_rows`
 degree 3 + seed % 6 in w, coefficients of z-degree 1 or 2) this prints the
 wall time of ``full_monodromy``, the number of branch points, the order of the
 lasso group (``closure_order``) or the error the cover raised, and the total.
-A cover that answers with a lasso product other than its boundary loop ends
-the script with a non-zero exit status; a raised error is printed and counted
-but is not a wrong answer.
+One SHA-256 covers every cover's answer: the images of each lasso permutation
+and of the boundary permutation and the closure order or its cap message, or
+the type and text of the error the cover raised; equal digests mean equal
+answers on the whole corpus.  A cover that answers with a lasso product other
+than its boundary loop ends the script with a non-zero exit status; a raised
+error is printed and counted but is not a wrong answer.
 
 It then times ``generated_order`` on generators of S8, S9 and S10 (an adjacent
 transposition and an n-cycle, and the n-2 consecutive 3-cycles of A_n); a
@@ -17,6 +20,8 @@ wrong order also ends the script with a non-zero exit status.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import sys
 import time
@@ -43,6 +48,11 @@ def timed(fn):
 def main() -> None:
     print(f"{'seed':>5} {'d':>3} {'branch':>7} {'monodromy_s':>12} {'order':>10}")
     total, errors = 0.0, 0
+    answers = hashlib.sha256()
+
+    def record(*answer) -> None:
+        answers.update(json.dumps(answer).encode() + b"\n")
+
     for seed in SEEDS:
         rows = generic_cover_rows(seed)
         cover = CoverSlice(BivarPoly.from_lists(rows))
@@ -50,6 +60,7 @@ def main() -> None:
             mono, dt = timed(lambda: full_monodromy(cover))
         except NumericFailure as exc:
             errors += 1
+            record(seed, type(exc).__name__, str(exc))
             print(f"{seed:>5} {len(rows) - 1:>3} {'-':>7} {'-':>12} raised: {exc}", flush=True)
             continue
         total += dt
@@ -59,8 +70,10 @@ def main() -> None:
             order = str(mono.closure_order())
         except CapExceeded as exc:
             order = str(exc)
+        record(seed, [p.images for p in mono.perms], mono.boundary_perm.images, order)
         print(f"{seed:>5} {len(rows) - 1:>3} {len(mono.branch):>7} {dt:>12.3f} {order:>10}", flush=True)
     print(f"total {total:.2f} s over {len(SEEDS) - errors} covers, {errors} raised")
+    print(f"answers sha256 {answers.hexdigest()}")
 
     print(f"\n{'group':>6} {'generated_order_s':>18} {'order':>9}")
     for n in DEGREES:

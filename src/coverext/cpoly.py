@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import NumericFailure
 
+RESIDUAL_TOL = 1e-9  # every root r must pass |p(r)| <= RESIDUAL_TOL * eval_scale(p, r)
+MAX_ITER = 400  # Aberth-Ehrlich sweeps at most before the Newton polish
+
 
 def _trim(coeffs: Sequence[complex]) -> tuple[complex, ...]:
     cs = [complex(c) for c in coeffs]
@@ -99,15 +102,11 @@ def root_bound(p: CPoly) -> float:
     return max(1.0, sum(abs(c / lc) for c in p.coeffs[:-1]))
 
 
-def roots(
-    p: CPoly,
-    residual_tol: float = 1e-9,
-    max_iter: int = 400,
-) -> tuple[complex, ...]:
+def roots(p: CPoly) -> tuple[complex, ...]:
     """All roots with multiplicity via Aberth-Ehrlich plus Newton polish.
 
     Multiple zeros come back as tight clusters (spacing ~eps^(1/m)); each
-    returned value must pass ``|p(r)| <= residual_tol * scale`` where scale
+    returned value must pass ``|p(r)| <= RESIDUAL_TOL * scale`` where scale
     bounds the evaluation magnitude, else :class:`NumericFailure`.
     """
     if p.is_zero():
@@ -121,7 +120,7 @@ def roots(
     d = q.degree
     if d < 1:
         out = tuple(zero_roots)
-        _check_residuals(p, out, residual_tol)
+        _check_residuals(p, out)
         return out
 
     dq = q.derivative()
@@ -129,7 +128,7 @@ def roots(
     zs = [radius * np.exp(2j * pi * (k / d) + 0.4j) for k in range(d)]
     best = np.inf
     stale = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         ws = []
         for j in range(d):
             pv = q(zs[j])
@@ -154,7 +153,7 @@ def roots(
             # stop on stagnation only once every iterate is a root to well
             # within the acceptance test; slow clusters may still converge
             if stale >= 12:
-                if all(abs(q(z)) <= 1e-3 * residual_tol * eval_scale(q, z) for z in zs):
+                if all(abs(q(z)) <= 1e-3 * RESIDUAL_TOL * eval_scale(q, z) for z in zs):
                     break
                 stale = 0
 
@@ -173,17 +172,17 @@ def roots(
         polished.append(zz)
 
     out = tuple(zero_roots + polished)
-    _check_residuals(p, out, residual_tol)
+    _check_residuals(p, out)
     return out
 
 
-def _check_residuals(p: CPoly, rs: Sequence[complex], residual_tol: float) -> None:
+def _check_residuals(p: CPoly, rs: Sequence[complex]) -> None:
     for r in rs:
         scale = eval_scale(p, r)
-        if not abs(p(r)) <= residual_tol * scale:  # a NaN residual fails too
+        if not abs(p(r)) <= RESIDUAL_TOL * scale:  # a NaN residual fails too
             raise NumericFailure(
                 f"root candidate {r} has residual {abs(p(r)):.3e} above "
-                f"{residual_tol:.1e} * {scale:.3e}"
+                f"{RESIDUAL_TOL:.1e} * {scale:.3e}"
             )
 
 

@@ -138,8 +138,8 @@ def weak_extend(
     """
     if sorted(inclusion.source_generators) != sorted(rho0.images):
         raise ValueError("inclusion source alphabet must match the representation's generators")
-    if not rho0.is_transitive():
-        raise ValueError("cover representation must be transitive")
+    # raises ValueError on a non-transitive rho0, before any SurjectivityError
+    stab = schreier_generators(rho0, gen_order=inclusion.source_generators)
 
     ab_onto = abelianized_surjective(inclusion)
     if surjectivity_assumed and not ab_onto:
@@ -148,7 +148,6 @@ def weak_extend(
             "rerun with surjectivity_assumed=False to record this instead"
         )
 
-    stab = schreier_generators(rho0, gen_order=inclusion.source_generators)
     pushed = [inclusion.push(w) for w in stab.generators]
     table = todd_coxeter(inclusion.target, pushed, cap=cap)
     b0, b1 = rho0.degree, table.index
@@ -184,6 +183,9 @@ def weak_extend(
     )
 
 
+MAXIMALITY_CAP_DEGREE = 8  # largest candidate degree maximality_check accepts
+
+
 @dataclass(frozen=True)
 class MaximalityVerdict:
     """How a candidate action compares against the constructed extension."""
@@ -195,22 +197,20 @@ class MaximalityVerdict:
     conjugator: Perm | None
 
 
-def maximality_check(
-    result: ExtensionResult,
-    candidate: PermRep,
-    cap_degree: int = 8,
-) -> MaximalityVerdict:
+def maximality_check(result: ExtensionResult, candidate: PermRep) -> MaximalityVerdict:
     """Check whether a candidate extended action is dominated by the constructed one.
 
     A candidate is an extension iff some equivariant map from the constructed
     coset action onto the candidate's sheets exists; such a map is determined
     by the image of coset 0, so the search is over ``candidate.degree``
     starting points.  Equivalence means the map is a bijection (then its
-    permutation is returned as the conjugating relabelling).
+    permutation is returned as the conjugating relabelling).  A candidate of
+    degree above ``MAXIMALITY_CAP_DEGREE`` raises :class:`CapExceeded`.
     """
-    if candidate.degree > cap_degree:
+    if candidate.degree > MAXIMALITY_CAP_DEGREE:
         raise CapExceeded(
-            f"maximality check capped at degree {cap_degree}, candidate has degree {candidate.degree}"
+            f"maximality check capped at degree {MAXIMALITY_CAP_DEGREE}, "
+            f"candidate has degree {candidate.degree}"
         )
     pres = result.inclusion.target
     if set(candidate.images) != set(pres.generators):

@@ -25,6 +25,10 @@ import numpy as np
 
 from .errors import NotSmooth, NumericFailure
 
+FD_STEP = 1e-4  # step of the finite-difference Hessian that cross-checks each Levi matrix
+FD_REL_TOL = 1e-5  # its allowed deviation, relative to 1 + the largest Levi entry
+ZERO_TOL = 1e-8  # eigenvalues this small relative to 1 + the largest count as zero
+
 
 def _point(w: Sequence[complex], q: int) -> np.ndarray:
     ws = np.asarray(list(w), dtype=complex)
@@ -128,39 +132,31 @@ def levi_matrix(w: Sequence[complex], q: int, alpha: float, r: float) -> np.ndar
     return mat
 
 
-def levi_signature(
-    w: Sequence[complex],
-    q: int,
-    alpha: float,
-    r: float,
-    fd_step: float = 1e-4,
-    fd_rel_tol: float = 1e-5,
-    zero_tol: float = 1e-8,
-) -> LeviData:
+def levi_signature(w: Sequence[complex], q: int, alpha: float, r: float) -> LeviData:
     """Levi matrix, eigenvalues and inertia, cross-checked by differencing.
 
     The closed form is compared entrywise against a finite-difference complex
-    Hessian (scaled by the same factor 2), whose 8n^2 + 1 stencil points are
-    evaluated in one batched call; disagreement beyond
-    ``fd_rel_tol * (1 + max entry)`` raises :class:`NumericFailure` naming the
-    worst entry.
+    Hessian (scaled by the same factor 2) with step ``FD_STEP``, whose
+    8n^2 + 1 stencil points are evaluated in one batched call; disagreement
+    beyond ``FD_REL_TOL * (1 + max entry)`` raises :class:`NumericFailure`
+    naming the worst entry.
     """
     ws = np.asarray(list(w), dtype=complex)
     mat = levi_matrix(ws, q, alpha, r)
 
-    fd = 2.0 * _fd_complex_hessian(lambda pts: _rho_rows(pts, q, alpha, r), ws, fd_step)
+    fd = 2.0 * _fd_complex_hessian(lambda pts: _rho_rows(pts, q, alpha, r), ws, FD_STEP)
     scale = 1.0 + float(np.abs(mat).max())
     dev = np.abs(fd - mat)
     j, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
     err = float(dev[j, k])
-    if not err <= fd_rel_tol * scale:  # a NaN deviation fails too
+    if not err <= FD_REL_TOL * scale:  # a NaN deviation fails too
         raise NumericFailure(
             f"closed-form Levi matrix deviates from finite differences by {err:.3e} "
-            f"at entry ({j}, {k}) (allowed {fd_rel_tol * scale:.3e})"
+            f"at entry ({j}, {k}) (allowed {FD_REL_TOL * scale:.3e})"
         )
 
     eigs = np.linalg.eigvalsh(mat)
-    tol = zero_tol * (1.0 + float(np.abs(eigs).max()))
+    tol = ZERO_TOL * (1.0 + float(np.abs(eigs).max()))
     pos = int(np.sum(eigs > tol))
     neg = int(np.sum(eigs < -tol))
     zero = eigs.size - pos - neg

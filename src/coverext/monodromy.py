@@ -27,11 +27,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cpoly import BivarPoly, CPoly, discriminant, eval_scale, root_bound, roots
+from .cpoly import RESIDUAL_TOL, BivarPoly, CPoly, discriminant, eval_scale, root_bound, roots
 from .errors import DegenerateCover, NumericFailure
 from .perms import Perm, generated_order
 
 Step = Callable[[complex], float]
+
+DEDUP_TOL = 1e-8  # discriminant roots this close merge before clusters are verified
+DISC_STRIP_TOL = 1e-9  # z-discriminant coefficients this small next to the largest drop
+MAX_DEPTH = 40  # bisection levels of one track_path step before it fails
+SEPARATION_TOL = 1e-8  # relative gap below which fiber values do not separate
+WEIERSTRASS_STRIP_TOL = 1e-8  # relative size on the circle below which a coefficient drops
+CLOSURE_CAP = 1_000_000  # largest lasso group whose order closure_order computes
 
 
 @dataclass(frozen=True)
@@ -58,34 +65,38 @@ class CoverSlice:
     def degree(self) -> int:
         return self.poly.w_degree
 
-    def fiber(self, z: complex, residual_tol: float = 1e-9) -> tuple[complex, ...]:
+    def fiber(self, z: complex) -> tuple[complex, ...]:
         """The b roots over z, sorted by (real, imag)."""
-        rs = roots(self.poly.at_z(z), residual_tol=residual_tol)
+        rs = roots(self.poly.at_z(z))
         return tuple(sorted(rs, key=lambda w: (w.real, w.imag)))
 
 
-def z_discriminant(cover: CoverSlice, strip_tol: float = 1e-9) -> CPoly:
+def _interpolate(zs: Sequence[complex], samples: Sequence[complex] | np.ndarray) -> np.ndarray:
+    """Constant-first coefficients of the polynomial of degree < len(zs) that
+    takes the value samples[i] at zs[i]; a 2-D ``samples`` gives one column of
+    coefficients per column of values."""
+    vand = np.vander(np.array(zs, dtype=complex), N=len(zs), increasing=True)
+    return np.linalg.solve(vand, np.asarray(samples, dtype=complex))
+
+
+def z_discriminant(cover: CoverSlice) -> CPoly:
     """Discriminant of the fiber polynomial as a polynomial in z.
 
     Evaluated through Sylvester determinants at unit-circle sample points and
-    interpolated back; coefficients below ``strip_tol`` of the largest are
-    dropped.  Raises :class:`DegenerateCover` if it vanishes identically.
+    interpolated back; coefficients at most ``DISC_STRIP_TOL`` of the largest
+    are dropped.  Raises :class:`DegenerateCover` if it vanishes identically.
     """
     p = cover.poly
-    dp = p.dw()
-    bound = (dp.w_degree) * max(p.z_degree, 0) + p.w_degree * max(dp.z_degree, 0)
-    npts = bound + 1
+    # Res(P, dP/dw) bounds the z-degree; dP/dw has w-degree b - 1 and the z-degree of c_1 .. c_b
+    b = p.w_degree
+    dw_z_degree = max(c.degree for c in p.w_coeffs[1:])
+    npts = (b - 1) * max(p.z_degree, 0) + b * max(dw_z_degree, 0) + 1
     zs = [cmath.exp(2j * math.pi * k / npts) for k in range(npts)]
-    vals = [discriminant(p.at_z(z)) for z in zs]
-    if npts == 1:
-        coeffs = [vals[0]]
-    else:
-        vand = np.vander(np.array(zs, dtype=complex), N=npts, increasing=True)
-        coeffs = list(np.linalg.solve(vand, np.array(vals, dtype=complex)))
+    coeffs = _interpolate(zs, [discriminant(p.at_z(z)) for z in zs])
     top = max(abs(c) for c in coeffs)
     if top == 0:
         raise DegenerateCover("z-discriminant vanishes identically (non-reduced cover)")
-    cleaned = tuple(c if abs(c) > strip_tol * top else 0j for c in coeffs)
+    cleaned = tuple(c if abs(c) > DISC_STRIP_TOL * top else 0j for c in coeffs)
     return CPoly(cleaned)
 
 
@@ -134,11 +145,7 @@ def _clusters(points: Sequence[complex], tol: float) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def branch_points(
-    cover: CoverSlice,
-    dedup_tol: float = 1e-8,
-    residual_tol: float = 1e-9,
-) -> tuple[complex, ...]:
+def branch_points(cover: CoverSlice) -> tuple[complex, ...]:
     """Distinct branch points of the cover, each located to near machine accuracy.
 
     A zero of multiplicity m comes out of the root finder as a cluster of
@@ -151,14 +158,14 @@ def branch_points(
     disc = z_discriminant(cover)
     if disc.degree < 1:
         return ()
-    raw = list(roots(disc, residual_tol=residual_tol))
+    raw = list(roots(disc))
 
     # Plain dedup first; each merged point remembers how many raw roots it ate,
     # because a multiple zero can stagnate as a tight one-sided clump whose
     # members are closer to each other than to the true root.
     merged: list[complex] = []
     counts: list[int] = []
-    for grp in _clusters(raw, dedup_tol):
+    for grp in _clusters(raw, DEDUP_TOL):
         merged.append(sum(raw[i] for i in grp) / len(grp))
         counts.append(len(grp))
 
@@ -178,7 +185,7 @@ def branch_points(
         if ok:
             d = disc
             for _ in range(m):
-                if abs(d(refined)) > 1e-9 * eval_scale(d, refined):  # type: ignore[arg-type]
+                if abs(d(refined)) > RESIDUAL_TOL * eval_scale(d, refined):  # type: ignore[arg-type]
                     ok = False
                     break
                 d = d.derivative()
@@ -211,14 +218,13 @@ def track_path(
     cover: CoverSlice,
     nodes: Sequence[complex],
     start_fiber: Sequence[complex],
-    max_depth: int = 40,
 ) -> tuple[complex, ...]:
     """Continue the fiber along a polyline, keeping sheet order.
 
     Each step Newton-corrects every sheet at the new z and is accepted only
     when every correction converged and each sheet i moved less than r_i / 3,
     where r_i is its distance to the nearest other sheet of the previous
-    fiber; otherwise the step is bisected (up to ``max_depth`` levels, then
+    fiber; otherwise the step is bisected (up to ``MAX_DEPTH`` levels, then
     :class:`NumericFailure`).  An accepted step exchanges no sheets: r_i and
     r_j are both at most |w_i - w_j|, so by the triangle inequality the
     corrected sheets stay more than |w_i - w_j| / 3 apart, and the new w_i
@@ -247,7 +253,7 @@ def track_path(
             fiber = corrected
             reach = _reach(fiber)
             return
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise NumericFailure(
                 f"sheet tracking failed to converge near z = {z_to} "
                 f"(bisection depth {depth})"
@@ -424,9 +430,31 @@ class MonodromyResult:
             raise ValueError(f"no branch point near {center}")
         return self.perms[k]
 
-    def closure_order(self, cap: int = 1_000_000) -> int:
-        """Order of the permutation group the lassos generate (1 when unbranched)."""
-        return generated_order(list(self.perms), cap=cap) if self.perms else 1
+    def closure_order(self) -> int:
+        """Order of the permutation group the lassos generate (1 when unbranched);
+        :class:`CapExceeded` past ``CLOSURE_CAP``."""
+        return generated_order(list(self.perms), cap=CLOSURE_CAP) if self.perms else 1
+
+
+def _start(
+    cover: CoverSlice, basepoint: complex | None, refine: int
+) -> tuple[tuple[complex, ...], complex, tuple[complex, ...]]:
+    """What every path from a basepoint needs first: the branch points, the
+    basepoint (``auto_basepoint`` when none is given) and its fiber.  Rejects
+    ``refine < 1``, a basepoint within 1e-9 of a branch point and a fiber
+    that is not simple."""
+    if refine < 1:
+        raise ValueError("refine must be >= 1")
+    branch = branch_points(cover)
+    if basepoint is None:
+        basepoint = auto_basepoint(branch)
+    for c in branch:
+        if abs(basepoint - c) < 1e-9:
+            raise ValueError("basepoint coincides with a branch point")
+    fiber0 = cover.fiber(basepoint)
+    if _minsep(fiber0) == 0:
+        raise NumericFailure("fiber at basepoint is not simple")
+    return branch, basepoint, fiber0
 
 
 def full_monodromy(
@@ -444,18 +472,7 @@ def full_monodromy(
     two is a tracking failure and raises; an orientation-level mismatch is
     recorded in ``product_matches_boundary``.
     """
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
-    branch = branch_points(cover)
-    if basepoint is None:
-        basepoint = auto_basepoint(branch)
-    for c in branch:
-        if abs(basepoint - c) < 1e-9:
-            raise ValueError("basepoint coincides with a branch point")
-    fiber0 = cover.fiber(basepoint)
-    if _minsep(fiber0) == 0:
-        raise NumericFailure("fiber at basepoint is not simple")
-
+    branch, basepoint, fiber0 = _start(cover, basepoint, refine)
     if not branch:
         ident = Perm.identity(cover.degree)
         return MonodromyResult(
@@ -508,34 +525,23 @@ def track_to(
 
     Returns (basepoint fiber, continued fiber aligned to it, basepoint used).
     """
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
-    branch = branch_points(cover)
-    if basepoint is None:
-        basepoint = auto_basepoint(branch)
-    fiber0 = cover.fiber(basepoint)
+    branch, basepoint, fiber0 = _start(cover, basepoint, refine)
     radii = lasso_radii(branch, basepoint)
     obstacles = [(c, r) for c, r in zip(branch, radii) if abs(target - c) > r]
     nodes = _route_segment(basepoint, target, obstacles, _step_rule(branch, radii, refine))
     return fiber0, track_path(cover, nodes, fiber0), basepoint
 
 
-def separates_fiber(
-    cover: CoverSlice,
-    func: BivarPoly,
-    z: complex,
-    tol: float = 1e-8,
-) -> bool:
+def separates_fiber(cover: CoverSlice, func: BivarPoly, z: complex) -> bool:
     """Whether the function takes distinct values on the fiber over z."""
     vals = [func(z, w) for w in cover.fiber(z)]
     scale = 1.0 + max(abs(v) for v in vals)
-    return bool(_minsep(vals) > tol * scale)
+    return bool(_minsep(vals) > SEPARATION_TOL * scale)
 
 
 def weierstrass_poly_of_function(
     cover: CoverSlice,
     func: BivarPoly,
-    strip_tol: float = 1e-8,
     *,
     branch: Sequence[complex] | None = None,
 ) -> BivarPoly:
@@ -546,9 +552,10 @@ def weierstrass_poly_of_function(
     polynomials in z; they are recovered by sampling on a circle of radius R
     that keeps clear of every branch point and interpolating.  A z^k
     coefficient c is dropped when its size on that circle, |c| R^k, is at most
-    ``strip_tol`` times the largest coefficient (or 1).  ``branch`` passes the
-    cover's branch points when the caller already has them, in any order (the
-    radius depends only on the set); by default they are computed here.
+    ``WEIERSTRASS_STRIP_TOL`` times the largest coefficient (or 1).  ``branch``
+    passes the cover's branch points when the caller already has them, in any
+    order (the radius depends only on the set); by default they are computed
+    here.
     """
     b = cover.degree
     max_c_deg = max(max(c.degree for c in cover.poly.w_coeffs), 1)
@@ -572,14 +579,13 @@ def weierstrass_poly_of_function(
             prod = prod * CPoly((-v, 1))
         cs = list(prod.coeffs) + [0j] * (b + 1 - len(prod.coeffs))
         samples[i, :] = cs
-    vand = np.vander(np.array(zs, dtype=complex), N=npts, increasing=True)
-    coeff_cols = np.linalg.solve(vand, samples)
+    coeff_cols = _interpolate(zs, samples)
 
     top = max(np.abs(coeff_cols).max(), 1.0)
     rows = []
     for j in range(b + 1):
         col = [
-            c if abs(c) * radius**k > strip_tol * top else 0j
+            c if abs(c) * radius**k > WEIERSTRASS_STRIP_TOL * top else 0j
             for k, c in enumerate(coeff_cols[:, j])
         ]
         rows.append(col)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .perms import Perm, inverse_images
 from .words import Word
@@ -70,19 +70,3 @@ class PermRep:
 
     def is_transitive(self) -> bool:
         return self.degree == 0 or len(self.orbit(0)) == self.degree
-
-    def restrict(self, points: Sequence[int]) -> "PermRep":
-        """Restrict to an invariant subset, relabelled 0..k-1 in the given order."""
-        index = {x: i for i, x in enumerate(points)}
-        if len(index) != len(points):
-            raise ValueError("duplicate points in restriction")
-        new_images: dict[str, Perm] = {}
-        for name, p in self.images.items():
-            imgs = []
-            for x in points:
-                y = p(x)
-                if y not in index:
-                    raise ValueError(f"subset not invariant: {name!r} moves {x} to {y}")
-                imgs.append(index[y])
-            new_images[name] = Perm(tuple(imgs))
-        return PermRep(len(points), new_images)

@@ -164,7 +164,7 @@ def _as_perms(v: Any, path: str, degree: int) -> dict[str, Perm]:
 def _as_rep(v: Any, path: str) -> PermRep:
     raw = _as_dict(v, path)
     _check_keys(raw, {"degree", "images"}, path)
-    degree = _field(raw, "degree", path, _as_int)
+    degree = _field(raw, "degree", path, _as_positive_int)
     return PermRep(degree, _field(raw, "images", path, lambda x, p: _as_perms(x, p, degree)))
 
 

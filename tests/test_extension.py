@@ -116,6 +116,10 @@ def test_abelianization_check():
     # genuinely misses the sheets over the unreached generator
     with pytest.raises(SurjectivityError, match="misses"):
         weak_extend(rho0, partial, surjectivity_assumed=False)
+    # a non-transitive cover is refused as such before the abelianization test
+    intransitive = PermRep(2, {"alpha1": Perm.identity(2), "alpha2": Perm.identity(2)})
+    with pytest.raises(ValueError, match="transitive"):
+        weak_extend(intransitive, partial)
 
 
 @settings(max_examples=25, deadline=None)
@@ -189,7 +193,7 @@ def test_maximality_verdicts():
     assert not bigger.is_extension and not bigger.degree_ok
 
     with pytest.raises(CapExceeded):
-        maximality_check(res, PermRep(9, {"gamma": Perm.identity(9)}), cap_degree=8)
+        maximality_check(res, PermRep(9, {"gamma": Perm.identity(9)}))
 
     with pytest.raises(ValueError):
         maximality_check(res, PermRep(2, {"wrong": Perm.identity(2)}))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from coverext import hartogs
 from coverext.errors import NotSmooth, NumericFailure
 from coverext.hartogs import (
     _fd_complex_hessian,
@@ -73,10 +74,11 @@ def test_degenerate_block_at_vanishing_w2():
         levi_signature([0.3, 0, 0], q=2, alpha=3.5, r=0.5)
 
 
-def test_finite_difference_guard_trips_on_coarse_step():
+def test_finite_difference_guard_trips_on_coarse_step(monkeypatch):
     w = [0.3, 0.2 + 0.1j, 0.4 - 0.2j]
+    monkeypatch.setattr(hartogs, "FD_STEP", 0.5)
     with pytest.raises(NumericFailure, match=r"deviates .* at entry \(2, 2\) \(allowed"):
-        levi_signature(w, q=2, alpha=3.5, r=0.5, fd_step=0.5)
+        levi_signature(w, q=2, alpha=3.5, r=0.5)
 
 
 def test_finite_difference_guard_trips_on_a_nan_deviation():
@@ -87,7 +89,7 @@ def test_finite_difference_guard_trips_on_a_nan_deviation():
 
 
 def _check_batched_stencil(w, q, alpha):
-    # levi_signature's defaults: fd_step 1e-4, fd_rel_tol 1e-5
+    # levi_signature's constants: FD_STEP 1e-4, FD_REL_TOL 1e-5
     batched = _fd_complex_hessian(lambda pts: _rho_rows(pts, q, alpha, 0.5), w, 1e-4)
     loop = fd_complex_hessian_loop(lambda p: rho_alpha(p, q, alpha, 0.5), w, 1e-4)
     assert float(np.abs(batched - loop).max()) <= 1e-6

@@ -226,6 +226,9 @@ def test_degree_ten_slice_exceeds_the_closure_cap_quickly():
 def test_basepoint_on_branch_point_rejected():
     with pytest.raises(ValueError, match="branch point"):
         full_monodromy(STEIN, basepoint=0.0)
+    b = max(branch_points(CUBIC), key=lambda c: c.real)
+    with pytest.raises(ValueError, match="branch point"):
+        track_to(CUBIC, 0.5j, basepoint=b)
     for refine in (0, -1):
         with pytest.raises(ValueError, match="refine"):
             full_monodromy(STEIN, refine=refine)

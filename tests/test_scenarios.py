@@ -111,6 +111,12 @@ def test_schema_rejections():
     minimal = {"kind": "braid-search", "mode": "minimal-extension", "strands": 4, "rho0": good_rho0}
     with pytest.raises(SchemaError, match=r"at scenario\.cap_degree: expected a positive integer, got 0"):
         run_payload(dict(minimal, cap_degree=0))
+    empty_rho0 = {"degree": 0, "images": {"alpha1": [], "alpha2": []}}
+    with pytest.raises(SchemaError, match=r"at scenario\.rho0\.degree: expected a positive integer, got 0"):
+        run_payload(small_extension(rho0=empty_rho0))
+    empty_rho0 = {"degree": 0, "images": {"s1": [], "s2": []}}
+    with pytest.raises(SchemaError, match=r"at scenario\.rho0\.degree: expected a positive integer, got 0"):
+        run_payload(dict(minimal, rho0=empty_rho0))
     line = {"w_coeffs": [[[0.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0]]]}
     with pytest.raises(SchemaError, match=r"at scenario\.refine: expected a positive integer, got 0"):
         run_payload({"kind": "slice-monodromy", "cover": line, "refine": 0})
