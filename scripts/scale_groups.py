@@ -16,11 +16,18 @@ point by point through every relator with ``tests/oracles.chase``, and the
 solution set is compared with a brute-force search.  A wrong ``b1``, coset
 count or braid solution ends the script with a non-zero exit status.
 
+One SHA-256 covers every answer, read after the timed calls: ``b1``, the
+fiber map, the ``rho1`` images and the table rows of each ``weak_extend``;
+the rows and representative words of each ``todd_coxeter`` table; and the
+solution tuples of each ``hom_search``.  Equal digests mean equal answers.
+
     python scripts/scale_groups.py
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import sys
 import time
@@ -33,7 +40,7 @@ from coverext.cosets import Presentation, schreier_generators, todd_coxeter
 from coverext.extension import Inclusion, weak_extend
 from coverext.perms import Perm
 from coverext.reps import PermRep
-from coverext.words import Word
+from coverext.words import Word, format_word
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import braid_homs_by_chase, chase, coxeter_presentation, random_transitive_images  # noqa: E402
@@ -52,6 +59,11 @@ def timed(fn):
 
 
 def main() -> None:
+    answers = hashlib.sha256()
+
+    def record(*answer) -> None:
+        answers.update(json.dumps(answer).encode() + b"\n")
+
     names = tuple(f"a{i + 1}" for i in range(GENERATORS))
     inc = Inclusion(names, {n: Word.gen(n) for n in names}, Presentation.free(names))
     print(f"{'sheets':>8} {'is_transitive_s':>16} {'schreier_s':>11} {'weak_extend_s':>14} {'b1':>8}")
@@ -63,6 +75,7 @@ def main() -> None:
         res, t_weak = timed(lambda: weak_extend(rep, inc))
         if not transitive or res.b1 != b:
             raise SystemExit(f"wrong result at {b} sheets: transitive={transitive}, b1={res.b1}")
+        record(b, res.b1, res.fiber_map, {n: p.images for n, p in res.rho1.images.items()}, res.table.rows)
         print(f"{b:>8} {t_trans:>16.4f} {t_schreier:>11.3f} {t_weak:>14.3f} {res.b1:>8}", flush=True)
     print(f"\n{'group':>8} {'todd_coxeter_s':>15} {'index':>8}")
     for n in COXETER:
@@ -70,6 +83,7 @@ def main() -> None:
         table, t_tc = timed(lambda: todd_coxeter(pres))
         if table.index != math.factorial(n):
             raise SystemExit(f"wrong index for S{n}: {table.index} != {math.factorial(n)}")
+        record(n, table.rows, [format_word(w) for w in table.rep_words])
         print(f"{'S' + str(n):>8} {t_tc:>15.3f} {table.index:>8}", flush=True)
     print(f"\n{'strands':>8} {'degree':>7} {'hom_search_s':>13} {'solutions':>10} {'brute_force_s':>14}")
     for m, degree in BRAIDS:
@@ -80,10 +94,13 @@ def main() -> None:
             if any(chase(images, r, x) != x for r in relators for x in range(degree)):
                 raise SystemExit(f"hom_search({m}, {degree}): {images} breaks a braid relator")
         brute, t_brute = timed(lambda: braid_homs_by_chase(m, degree))
-        got = {tuple(sol[f"s{i}"].images for i in range(1, m)) for sol in sols}
+        tuples = [tuple(sol[f"s{i}"].images for i in range(1, m)) for sol in sols]
+        record(m, degree, tuples)
+        got = set(tuples)
         if len(got) != len(sols) or got != brute:
             raise SystemExit(f"hom_search({m}, {degree}): {len(sols)} solutions, brute force {len(brute)}")
         print(f"{m:>8} {degree:>7} {t_hom:>13.3f} {len(sols):>10} {t_brute:>14.3f}", flush=True)
+    print(f"answers sha256 {answers.hexdigest()}")
 
 
 if __name__ == "__main__":

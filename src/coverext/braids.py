@@ -192,7 +192,8 @@ def hom_search(
     check, and each relator is checked once per partial assignment).  Raises
     :class:`CapExceeded` when the raw search space exceeds ``cap``
     assignments, before the presentation or any candidate is built.  With
-    every generator pinned only the relators are checked.
+    every generator pinned only the relators are checked.  Into S_0 or S_1
+    the one homomorphism is returned without building the presentation.
     """
     if m < 1:
         raise ValueError("need at least one strand")
@@ -205,6 +206,10 @@ def hom_search(
     free = m - 1 - len(pinned)
     if _space_exceeds(degree, free, cap):
         raise CapExceeded(f"search space of ({degree}!)^{free} assignments exceeds cap {cap}")
+    if degree <= 1:  # the one map into the trivial group; every relator holds
+        identity = Perm.identity(degree)
+        names = list(pinned) + [n for n in braid_generator_names(m) if n not in pinned]
+        return (dict.fromkeys(names, identity),)
 
     pres = braid_presentation(m)
     names = pres.generators
@@ -238,7 +243,9 @@ def minimal_extension_degree(
     fiber to the first ``b0`` sheets, so only the standard inclusion is
     searched: shared generators must act on those sheets exactly as ``rho0``
     (and hence permute the remaining sheets among themselves); everything else
-    is free.  Raises :class:`CapExceeded` past ``cap_degree``.
+    is free.  A cover of at most one sheet extends on one sheet, found
+    without building the presentation.  Raises :class:`CapExceeded` past
+    ``cap_degree``.
     """
     small_names = sorted(rho0.images, key=lambda s: int(s.lstrip("s")))
     if small_names != list(braid_generator_names(len(small_names) + 1)):
@@ -249,6 +256,8 @@ def minimal_extension_degree(
     if not rho0.is_transitive():
         raise ValueError("rho0 must be transitive")
     b0 = rho0.degree
+    if b0 <= 1 and cap_degree >= 1:  # the trivial action on one sheet extends
+        return MinimalExtensionResult(1, dict.fromkeys(braid_generator_names(m_big), Perm.identity(1)))
     pres = braid_presentation(m_big)
     new_names = [n for n in pres.generators if n not in rho0.images]
 

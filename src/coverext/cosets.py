@@ -11,15 +11,24 @@ Two complementary routes between subgroups and permutation actions:
   O'Brien, *Handbook of Computational Group Theory*, 2005, §5.1).
   Deterministic; bounded by a live-coset cap.
 
+Both run on integer columns, numbered as the coset table numbers them:
+column ``2i`` is generator ``i`` and ``2i + 1`` its inverse, so free
+reduction cancels ``c`` against ``c ^ 1``.  ``todd_coxeter`` compiles its
+words to columns once; ``pushed_coset_table`` pushes a stabilizer through a
+homomorphism given by word images and enumerates its cosets without building
+any word.  Words are spelled only when a caller reads them:
+``StabilizerData.transversal`` and ``.generators`` and
+``CosetTable.rep_words`` are built on first access and cached.
+
 Cosets are right cosets, numbered from 0 (the subgroup itself), and the
 action is on the right: ``table.act(c, w)`` is the coset of ``rep(c) * w``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded
 from .perms import Perm, inverse_images
@@ -48,13 +57,84 @@ class Presentation:
         return Presentation(tuple(generators), ())
 
 
+def _column_of(gen_names: Sequence[str]) -> dict[str, int]:
+    """Coset-table column of each generator; its inverse is the next column."""
+    return {g: 2 * i for i, g in enumerate(gen_names)}
+
+
+def _columns(word: Word, col_of: Mapping[str, int]) -> tuple[int, ...]:
+    """A word's letters as columns; a reduced word gives reduced columns."""
+    out: list[int] = []
+    for name, exp in word.syllables:
+        if name not in col_of:
+            raise ValueError(f"word uses unknown generator {name!r}")
+        out += [col_of[name] + (exp < 0)] * abs(exp)
+    return tuple(out)
+
+
+def _inverse(cols: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([c ^ 1 for c in reversed(cols)])
+
+
+def _product(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """Freely reduced ``u * v`` of two freely reduced column tuples."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == v[k] ^ 1:
+        k += 1
+    return u[: len(u) - k] + v[k:]
+
+
+def _spell(words: Iterable[Iterable[int]], gen_names: Sequence[str]) -> tuple[Word, ...]:
+    """The words of column sequences (``Word`` reduces them freely)."""
+    letters = [(g, step) for g in gen_names for step in (1, -1)]
+    return tuple(Word(tuple(map(letters.__getitem__, cols))) for cols in words)
+
+
 @dataclass(frozen=True)
 class StabilizerData:
-    """Transversal words and stabilizer generators for a point stabilizer."""
+    """Breadth-first spanning tree of a transitive action, for a point stabilizer.
+
+    Edges are ``(s, c, t)``: column ``c`` (``_column_of(gen_names)``) takes
+    sheet ``s`` to sheet ``t``.  ``tree`` holds the tree edges in discovery
+    order, and ``edges`` the other generator edges, one per Schreier
+    generator, in generator order.  The words ``transversal`` and
+    ``generators`` are spelled on first access.
+    """
 
     base_point: int
-    transversal: tuple[Word, ...]
-    generators: tuple[Word, ...]
+    gen_names: tuple[str, ...]
+    tree: tuple[tuple[int, int, int], ...]
+    edges: tuple[tuple[int, int, int], ...]
+
+    def _pushed(self, letter: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Transversal and Schreier generator columns under the homomorphism
+        sending column ``c`` to the reduced column tuple ``letter[c]``.
+
+        ``transversal[t]`` is ``transversal[s] * letter[c]`` along the tree
+        edge into ``t``, and edge ``(s, c, t)`` gives the generator
+        ``transversal[s] * letter[c] * transversal[t]**-1``; each product is
+        freely reduced where its factors meet.  The homomorphism is applied
+        letter by letter and free reduction is confluent, so these are the
+        images of the source words, reduced.
+        """
+        words: list[tuple[int, ...]] = [()] * (len(self.tree) + 1)
+        for s, c, t in self.tree:
+            words[t] = _product(words[s], letter[c])
+        inverses = [_inverse(w) for w in words]
+        return words, [_product(_product(words[s], letter[c]), inverses[t]) for s, c, t in self.edges]
+
+    def _source(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        return self._pushed([(c,) for c in range(2 * len(self.gen_names))])
+
+    @cached_property
+    def transversal(self) -> tuple[Word, ...]:
+        """``transversal[s]`` maps the base point to sheet ``s``."""
+        return _spell(self._source()[0], self.gen_names)
+
+    @cached_property
+    def generators(self) -> tuple[Word, ...]:
+        """Schreier generators of the base point's stabilizer."""
+        return _spell(self._source()[1], self.gen_names)
 
 
 def schreier_generators(
@@ -68,63 +148,75 @@ def schreier_generators(
     with exponent +1 then -1), so ``transversal[s]`` maps the base point to
     sheet ``s``.  For each sheet ``s`` and generator ``g`` the word
     ``transversal[s] * g * transversal[g(s)]**-1`` stabilizes the base point;
-    the freely trivial ones (spanning-tree edges) are dropped, leaving
-    ``b*(n-1) + 1`` generators for a transitive action on ``b`` sheets.
+    the spanning-tree edges, whose words are freely trivial, are dropped,
+    leaving ``b*(n-1) + 1`` generators for a transitive action on ``b``
+    sheets.
 
-    Each inverse image table is built once and each word is reduced once, so
-    the cost is O(b * n * |word|) for transversal words of length ``|word|``.
+    The walk builds no word: it records the tree and the other edges in
+    O(b * n), and the words are spelled when a caller reads them.
     """
     names = tuple(gen_order) if gen_order is not None else rep.generator_names
     if set(names) != set(rep.images):
         raise ValueError("gen_order must list exactly the representation's generators")
-    b = rep.degree
-    moves = []  # (images, inverse images, letter, inverse letter) per generator
-    for name in names:
-        img = rep.images[name].images
-        moves.append((img, inverse_images(img), Word.gen(name).syllables, Word.gen(name, -1).syllables))
-    transversal: list[Word | None] = [None] * b
-    transversal[base_point] = Word.identity()
-    order = [base_point]
+    moves = [(rep.images[name].images, inverse_images(rep.images[name].images)) for name in names]
+    up: list[tuple[int, int] | None] = [None] * rep.degree  # tree edge (s, c) into each sheet
+    seen = [False] * rep.degree
+    seen[base_point] = True
+    tree: list[tuple[int, int, int]] = []
     frontier = [base_point]
     while frontier:
         nxt: list[int] = []
         for s in frontier:
-            for img, inv, up, down in moves:
-                for t, letter in ((img[s], up), (inv[s], down)):
-                    if transversal[t] is None:
-                        transversal[t] = Word(transversal[s].syllables + letter)  # type: ignore[union-attr]
-                        order.append(t)
+            for i, (img, inv) in enumerate(moves):
+                for t, c in ((img[s], 2 * i), (inv[s], 2 * i + 1)):
+                    if not seen[t]:
+                        seen[t] = True
+                        up[t] = (s, c)
+                        tree.append((s, c, t))
                         nxt.append(t)
         frontier = nxt
-    if any(t is None for t in transversal):
+    if len(tree) + 1 != rep.degree:
         raise ValueError("representation is not transitive; stabilizer has no finite transversal data")
-    back = [t.inverse().syllables for t in transversal]  # type: ignore[union-attr]
-    gens: list[Word] = []
-    for s in order:
-        head = transversal[s].syllables  # type: ignore[union-attr]
-        for img, _, up, _ in moves:
-            w = Word(head + up + back[img[s]])
-            if not w.is_identity():
-                gens.append(w)
-    return StabilizerData(base_point, tuple(transversal), tuple(gens))  # type: ignore[arg-type]
-
-
-def _column_of(gen_names: Sequence[str]) -> dict[str, int]:
-    """Coset-table column of each generator; its inverse is the next column."""
-    return {g: 2 * i for i, g in enumerate(gen_names)}
+    edges = []
+    for s in [base_point] + [t for _, _, t in tree]:
+        for i, (img, _) in enumerate(moves):
+            t = img[s]
+            if up[t] != (s, 2 * i) and up[s] != (t, 2 * i + 1):  # not a tree edge, either way round
+                edges.append((s, 2 * i, t))
+    return StabilizerData(base_point, names, tuple(tree), tuple(edges))
 
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Completed coset table; coset 0 is the subgroup."""
+    """Completed coset table; coset 0 is the subgroup.
+
+    ``definitions[c]`` is coset ``c``'s definition record, ``(record of the
+    defining coset, column)`` or ``None`` for coset 0; the defining coset may
+    have merged away since.  ``rep_words`` are spelled from these records on
+    first access.
+    """
 
     gen_names: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
-    rep_words: tuple[Word, ...]
+    definitions: tuple[tuple | None, ...] = field(compare=False, repr=False)
 
     @property
     def index(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def rep_words(self) -> tuple[Word, ...]:
+        """One representative word per coset: the columns of its definition
+        chain, freely reduced once (free reduction is confluent, so this is
+        the word built letter by letter)."""
+        chains = []
+        for record in self.definitions:
+            cols: list[int] = []
+            while record is not None:
+                record, col = record
+                cols.append(col)
+            chains.append(reversed(cols))
+        return _spell(chains, self.gen_names)
 
     @cached_property
     def _col_of(self) -> dict[str, int]:
@@ -137,10 +229,13 @@ class CosetTable:
 
     def act(self, coset: int, word: Word) -> int:
         """Coset reached from ``coset`` by right multiplication with ``word``."""
-        c = coset
-        for name, step in word.letters():
-            c = self.rows[c][self._col(name, step)]
-        return c
+        return self._walk(coset, [self._col(name, step) for name, step in word.letters()])
+
+    def _walk(self, coset: int, cols: Iterable[int]) -> int:
+        rows = self.rows
+        for col in cols:
+            coset = rows[coset][col]
+        return coset
 
     def coset_action(self, name: str) -> Perm:
         col = self._col(name, 1)
@@ -168,31 +263,25 @@ class _Enumerator:
     """HLT enumeration; live rows point only at live cosets, and
     ``rows[a][col] == b`` iff ``rows[b][col ^ 1] == a``.
 
-    Each coset keeps the record of its definition, ``(record of the defining
-    coset, column)``, with ``None`` for the subgroup; representative words are
-    spelled out from these records only for the cosets alive at the end.
+    The subgroup comes as column sequences (``_column_of``); the relators are
+    compiled once here.  Each coset keeps the record of its definition,
+    ``(record of the defining coset, column)``, with ``None`` for the
+    subgroup; the table keeps the records of the cosets alive at the end.
     """
 
-    def __init__(self, pres: Presentation, subgroup: Sequence[Word], cap: int) -> None:
-        self.pres = pres
+    def __init__(self, pres: Presentation, subgroup: Iterable[Sequence[int]], cap: int) -> None:
+        if cap < 1:
+            raise ValueError("cap must be positive")
+        self.gen_names = pres.generators
         self.cap = cap
         self.ncols = 2 * len(pres.generators)
-        self.col_of = _column_of(pres.generators)
-        self.letters = [(g, step) for g in pres.generators for step in (1, -1)]
         self.rows: list[list[int | None]] = [[None] * self.ncols]
         self.parent: list[int] = [0]
         self.defs: list[tuple | None] = [None]
         self.alive = 1
-        self.relator_cols = [self._word_cols(r) for r in pres.relators if not r.is_identity()]
-        self.subgroup_cols = [self._word_cols(w) for w in subgroup if not w.is_identity()]
-
-    def _word_cols(self, w: Word) -> list[int]:
-        out = []
-        for name, step in w.letters():
-            if name not in self.col_of:
-                raise ValueError(f"word uses unknown generator {name!r}")
-            out.append(self.col_of[name] + (0 if step > 0 else 1))
-        return out
+        col_of = _column_of(pres.generators)
+        self.relator_cols = [cols for r in pres.relators if (cols := _columns(r, col_of))]
+        self.subgroup_cols = [cols for cols in subgroup if cols]
 
     def rep(self, c: int) -> int:
         root = c
@@ -318,16 +407,31 @@ class _Enumerator:
             alpha += 1
         self._compact()
         rows = tuple(tuple(map(int, row)) for row in self.rows)  # type: ignore[arg-type]
-        return CosetTable(self.pres.generators, rows, tuple(self._spell(d) for d in self.defs))
+        return CosetTable(self.gen_names, rows, tuple(self.defs))
 
-    def _spell(self, record: tuple | None) -> Word:
-        """Representative word of a definition record: its letters, freely reduced
-        once (free reduction is confluent, so this is the word built letter by letter)."""
-        cols: list[int] = []
-        while record is not None:
-            record, col = record
-            cols.append(col)
-        return Word(tuple(self.letters[col] for col in reversed(cols)))
+
+def pushed_coset_table(
+    stab: StabilizerData,
+    images: Mapping[str, Word],
+    target: Presentation,
+    cap: int,
+) -> tuple[CosetTable, tuple[int, ...]]:
+    """Cosets of the stabilizer's image under the homomorphism sending each
+    source generator ``name`` to ``images[name]``, a word in the target's
+    generators, and the coset of each image transversal word.
+
+    Each image is compiled to columns once; the Schreier generators are
+    pushed and enumerated as columns, so no word is built.  The table equals
+    ``todd_coxeter(target, pushed generator words)``.
+    """
+    col_of = _column_of(target.generators)
+    letter = []
+    for name in stab.gen_names:
+        image = _columns(images[name], col_of)
+        letter += [image, _inverse(image)]
+    transversal, generators = stab._pushed(letter)
+    table = _Enumerator(target, generators, cap).run()
+    return table, tuple(table._walk(0, t) for t in transversal)
 
 
 def todd_coxeter(
@@ -343,6 +447,5 @@ def todd_coxeter(
     word per coset.  Raises :class:`CapExceeded` when more than ``cap`` live
     cosets are needed even after a lookahead/compaction pass.
     """
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    return _Enumerator(pres, subgroup, cap).run()
+    col_of = _column_of(pres.generators)
+    return _Enumerator(pres, [_columns(w, col_of) for w in subgroup], cap).run()

@@ -6,11 +6,18 @@ homomorphism ``iota`` into the big base's deck group, given by a word image
 per source generator plus a presentation of the target group.  The extension
 is computed combinatorially:
 
-1. stabilizer generators of the base sheet (Schreier words),
+1. stabilizer generators of the base sheet (Schreier generators, read off a
+   breadth-first spanning tree of ``rho0``),
 2. their images under ``iota`` generate the pushed subgroup,
 3. coset enumeration over the target presentation yields the extended sheet
    count ``b1``, the extended action ``rho1``, and the sheet-to-coset fiber
    map (base sheet ``s`` goes to the coset of ``iota(transversal word of s)``).
+
+Steps 2 and 3 run on integer coset-table columns
+(``cosets.pushed_coset_table``): each image is compiled once, and each pushed
+generator is the concatenation of image columns, freely reduced once.  The
+stabilizer words of ``ExtensionResult.stabilizer`` are spelled only when a
+caller reads them.
 
 The extension is *strong* exactly when the fiber map is injective, i.e.
 ``b1 == b0``; it always satisfies ``b1 <= b0`` when the fiber map is onto.
@@ -22,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .cosets import CosetTable, Presentation, StabilizerData, schreier_generators, todd_coxeter
+from .cosets import CosetTable, Presentation, StabilizerData, pushed_coset_table, schreier_generators
 from .errors import CapExceeded, SurjectivityError
 from .perms import Perm
 from .reps import PermRep
@@ -45,10 +52,6 @@ class Inclusion:
             for g in w.generators():
                 if g not in target_gens:
                     raise ValueError(f"image of {name!r} uses unknown target generator {g!r}")
-
-    def push(self, word: Word) -> Word:
-        """Image of a source word in the target generators."""
-        return word.substitute(self.images)
 
 
 @dataclass(frozen=True)
@@ -148,12 +151,9 @@ def weak_extend(
             "rerun with surjectivity_assumed=False to record this instead"
         )
 
-    pushed = [inclusion.push(w) for w in stab.generators]
-    table = todd_coxeter(inclusion.target, pushed, cap=cap)
+    table, fiber_map = pushed_coset_table(stab, inclusion.images, inclusion.target, cap)
     b0, b1 = rho0.degree, table.index
     rho1 = table.to_rep()
-
-    fiber_map = tuple(table.act(0, inclusion.push(t)) for t in stab.transversal)
     missed = sorted(set(range(b1)) - set(fiber_map))
     if missed:
         raise SurjectivityError(
@@ -161,10 +161,9 @@ def weak_extend(
             f"cannot be surjective"
         )
     for name, p in rho0.images.items():
-        q = rho1.act_word(inclusion.images[name])
-        for s in range(b0):
-            if fiber_map[p(s)] != q(fiber_map[s]):
-                raise RuntimeError("internal error: fiber map is not equivariant")
+        q = rho1.act_word(inclusion.images[name]).images
+        if any(fiber_map[t] != q[fiber_map[s]] for s, t in enumerate(p.images)):
+            raise RuntimeError("internal error: fiber map is not equivariant")
 
     strong = b1 == b0
     injective = len(set(fiber_map)) == b0

@@ -174,6 +174,31 @@ def substitute_iterated(word: Word, mapping: dict[str, Word]) -> Word:
     return out
 
 
+def schreier_words(
+    images: dict[str, tuple[int, ...]], names: tuple[str, ...], base: int = 0
+) -> tuple[list[Word], list[Word]]:
+    """Breadth-first transversal and Schreier generators by ``Word`` products.
+
+    Each generator of ``names`` is tried with exponent +1 then -1; the
+    generators are ``t[s] * g * t[g(s)]**-1`` over the sheets in discovery
+    order, with the freely trivial ones dropped.
+    """
+    inverse = {n: tuple_inverse(images[n]) for n in names}
+    trans = {base: Word.identity()}
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for n in names:
+                for t, letter in ((images[n][s], Word.gen(n)), (inverse[n][s], Word.gen(n, -1))):
+                    if t not in trans:
+                        trans[t] = trans[s] * letter
+                        nxt.append(t)
+        frontier = nxt
+    gens = [trans[s] * Word.gen(n) * trans[images[n][s]].inverse() for s in trans for n in names]
+    return [trans[s] for s in range(len(trans))], [w for w in gens if not w.is_identity()]
+
+
 def free_reduce(letters) -> list[tuple[str, int]]:
     """Stack reduction of (name, +-1) letters; cancels adjacent inverses."""
     out: list[tuple[str, int]] = []

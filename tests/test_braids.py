@@ -21,6 +21,8 @@ from coverext.errors import CapExceeded
 from coverext.perms import Perm
 from coverext.reps import PermRep
 
+from oracles import braid_homs_by_chase
+
 
 def test_generator_names_and_relator_count():
     assert braid_generator_names(4) == ("s1", "s2", "s3")
@@ -233,4 +235,36 @@ def test_hom_search_with_every_generator_pinned_checks_only_relators():
     assert hom_search(4, 12, good) == (good,)
     bad = dict(good, s3=Perm.transposition(12, 1, 2))  # now s1 and s3 do not commute
     assert hom_search(4, 12, bad) == ()
+    assert perf_counter() - t0 < 1.0
+
+
+def test_trivial_targets_match_brute_force():
+    # S_0 and S_1 are trivial: one homomorphism, every relator holds
+    for m in range(1, 41):
+        for degree in (0, 1):
+            pinned = {"s2": Perm.identity(degree)} if m > 2 else {}
+            for pins in ({}, pinned):
+                sols = hom_search(m, degree, pins)
+                got = {tuple(sol[f"s{i}"].images for i in range(1, m)) for sol in sols}
+                assert len(sols) == 1 and sorted(sols[0]) == sorted(braid_generator_names(m))
+                assert got == braid_homs_by_chase(m, degree)
+
+
+def test_trivial_targets_answer_without_the_presentation(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"braid_presentation({m}) built for a trivial target")
+
+    monkeypatch.setattr(braids, "braid_presentation", refuse)
+    names = braid_generator_names(2000)
+    t0 = perf_counter()
+    for degree in (0, 1):
+        assert hom_search(2000, degree) == (dict.fromkeys(names, Perm.identity(degree)),)
+    assert hom_search(2000, 1, {"s1999": Perm.identity(1)}) == (dict.fromkeys(names, Perm.identity(1)),)
+    with pytest.raises(ValueError, match="not one of"):
+        hom_search(2000, 1, {"s2000": Perm.identity(1)})
+    with pytest.raises(ValueError, match="degree"):
+        hom_search(2000, 1, {"s1": Perm.identity(2)})
+    one_sheet = PermRep(1, {"s1": Perm.identity(1), "s2": Perm.identity(1)})
+    res = minimal_extension_degree(one_sheet, 2000)
+    assert res.degree == 1 and res.images == dict.fromkeys(names, Perm.identity(1))
     assert perf_counter() - t0 < 1.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverext.cosets import Presentation
+from coverext.cosets import Presentation, todd_coxeter
 from coverext.errors import CapExceeded, SurjectivityError
 from coverext.extension import (
     Inclusion,
@@ -18,9 +18,9 @@ from coverext.extension import (
 )
 from coverext.perms import Perm
 from coverext.reps import PermRep
-from coverext.words import format_word, parse_word
+from coverext.words import Word, format_word, parse_word
 
-from oracles import random_transitive_images
+from oracles import coxeter_presentation, random_transitive_images, schreier_words, substitute_iterated
 
 
 def example3_input():
@@ -215,3 +215,95 @@ def test_maximality_respects_relators():
     # coset action would be constant, hence never onto two sheets
     constant_image = PermRep(2, {"gamma": Perm.identity(2)})
     assert not maximality_check(res, constant_image).is_extension
+
+
+def _parity_cases():
+    """(rho0, inclusion): seeded transitive covers into a free group (images
+    moved by random Nielsen moves, so the map is onto), a cyclic group
+    <gamma | gamma^m> with random exponents, and S4 (Coxeter presentation)
+    with random short word images."""
+    rng = np.random.default_rng(2005)
+    s4 = coxeter_presentation(4)
+    for trial in range(90):
+        degree = int(rng.integers(1, 31))
+        k = int(rng.integers(1, 4))
+        names = tuple(f"a{i + 1}" for i in range(k))
+        images = random_transitive_images(rng, degree, k)
+        rho0 = PermRep(degree, {n: Perm.from_images(t) for n, t in zip(names, images)})
+        if trial % 3 == 0:
+            target = Presentation.free([f"x{i}" for i in range(k)])
+            words = [Word.gen(f"x{i}") for i in range(k)]
+            for _ in range(int(rng.integers(0, 6))):
+                i, j = (int(x) for x in rng.integers(0, k, size=2))
+                if i != j:
+                    words[i] = words[i] * words[j] ** int(rng.choice([-1, 1]))
+        elif trial % 3 == 1:
+            target = Presentation(("gamma",), (Word.gen("gamma", int(rng.integers(2, 8))),))
+            words = [Word.gen("gamma", int(rng.integers(-4, 5))) for _ in names]
+        else:
+            target = s4
+            words = [
+                Word(tuple((f"s{int(rng.integers(1, 4))}", int(rng.choice([-2, -1, 1, 2])))
+                           for _ in range(int(rng.integers(0, 4)))))
+                for _ in names
+            ]
+        yield rho0, Inclusion(names, dict(zip(names, words)), target)
+
+
+def test_weak_extend_matches_the_word_pipeline():
+    """Stabilizer words, pushed images, enumeration and fiber map built one
+    Word at a time (no columns) give the same table, fiber map and action."""
+    checked = missed = 0
+    for rho0, inc in _parity_cases():
+        names = inc.source_generators
+        images = {n: rho0.images[n].images for n in names}
+        transversal, generators = schreier_words(images, names)
+        table = todd_coxeter(inc.target, [substitute_iterated(w, dict(inc.images)) for w in generators])
+        fiber_map = tuple(table.act(0, substitute_iterated(t, dict(inc.images))) for t in transversal)
+        if set(fiber_map) != set(range(table.index)):
+            missed += 1
+            with pytest.raises(SurjectivityError, match="misses"):
+                weak_extend(rho0, inc, surjectivity_assumed=False)
+            continue
+        res = weak_extend(rho0, inc, surjectivity_assumed=False)
+        checked += 1
+        assert res.table.rows == table.rows
+        assert res.table.rep_words == table.rep_words
+        assert res.fiber_map == fiber_map
+        assert res.rho1 == table.to_rep()
+        assert list(res.stabilizer.transversal) == transversal
+        assert list(res.stabilizer.generators) == generators
+    assert checked >= 45 and missed >= 5, (checked, missed)
+
+
+def test_weak_extend_builds_no_word_per_sheet(monkeypatch):
+    built = 0
+    real = Word.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        real(self)
+
+    def refuse(self, mapping):
+        raise AssertionError("weak_extend called Word.substitute")
+
+    names = ("a1", "a2")
+    inc = Inclusion(names, {n: parse_word(n) for n in names}, Presentation.free(names))
+    rng = np.random.default_rng(250)
+    reps = [
+        PermRep(b, {n: Perm.from_images(t) for n, t in zip(names, random_transitive_images(rng, b, 2))})
+        for b in (250, 1000)
+    ]
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    monkeypatch.setattr(Word, "substitute", refuse)
+    counts = []
+    for rho0 in reps:
+        before = built
+        res = weak_extend(rho0, inc)
+        counts.append(built - before)
+    assert counts[0] == counts[1], counts
+    # the stabilizer words are spelled once they are read
+    before = built
+    assert len(res.stabilizer.generators) == 1001
+    assert built - before >= 1001
