@@ -22,7 +22,7 @@ from .cosets import Presentation
 from .errors import CapExceeded
 from .extension import Inclusion
 from .perms import Perm, inverse_images
-from .reps import PermRep
+from .reps import PermRep, _breadth_first, _image_columns
 from .words import Word
 
 
@@ -197,6 +197,8 @@ def hom_search(
     """
     if m < 1:
         raise ValueError("need at least one strand")
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
     pinned = dict(pinned or {})
     for name, p in pinned.items():
         if not _is_generator_name(name, m):
@@ -266,11 +268,7 @@ def minimal_extension_degree(
         sym = list(itertools.permutations(range(degree)))
         slots = [(n, [tuple(rho0.images[n].images) + tail for tail in tails]) for n in small_names]
         slots += [(n, sym) for n in new_names]
-        reps = (
-            PermRep(degree, {n: Perm(img) for n, img in a.items()})
-            for a in _assignments(degree, pres.relators, {}, slots)
-        )
-        found = next((rep for rep in reps if rep.is_transitive()), None)
-        if found is not None:
-            return MinimalExtensionResult(degree, dict(found.images))
+        for a in _assignments(degree, pres.relators, {}, slots):
+            if len(_breadth_first(degree, _image_columns(a.values()), 0)[0]) == degree:  # transitive
+                return MinimalExtensionResult(degree, {n: Perm(img) for n, img in a.items()})
     raise CapExceeded(f"no extension found up to degree cap {cap_degree}")

@@ -31,8 +31,8 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded
-from .perms import Perm, inverse_images
-from .reps import PermRep
+from .perms import Perm
+from .reps import PermRep, _breadth_first, _image_columns
 from .words import Word
 
 
@@ -123,18 +123,20 @@ class StabilizerData:
         inverses = [_inverse(w) for w in words]
         return words, [_product(_product(words[s], letter[c]), inverses[t]) for s, c, t in self.edges]
 
+    @cached_property
     def _source(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """The source words' columns, pushed once for both word lists."""
         return self._pushed([(c,) for c in range(2 * len(self.gen_names))])
 
     @cached_property
     def transversal(self) -> tuple[Word, ...]:
         """``transversal[s]`` maps the base point to sheet ``s``."""
-        return _spell(self._source()[0], self.gen_names)
+        return _spell(self._source[0], self.gen_names)
 
     @cached_property
     def generators(self) -> tuple[Word, ...]:
         """Schreier generators of the base point's stabilizer."""
-        return _spell(self._source()[1], self.gen_names)
+        return _spell(self._source[1], self.gen_names)
 
 
 def schreier_generators(
@@ -158,31 +160,17 @@ def schreier_generators(
     names = tuple(gen_order) if gen_order is not None else rep.generator_names
     if set(names) != set(rep.images):
         raise ValueError("gen_order must list exactly the representation's generators")
-    moves = [(rep.images[name].images, inverse_images(rep.images[name].images)) for name in names]
-    up: list[tuple[int, int] | None] = [None] * rep.degree  # tree edge (s, c) into each sheet
-    seen = [False] * rep.degree
-    seen[base_point] = True
-    tree: list[tuple[int, int, int]] = []
-    frontier = [base_point]
-    while frontier:
-        nxt: list[int] = []
-        for s in frontier:
-            for i, (img, inv) in enumerate(moves):
-                for t, c in ((img[s], 2 * i), (inv[s], 2 * i + 1)):
-                    if not seen[t]:
-                        seen[t] = True
-                        up[t] = (s, c)
-                        tree.append((s, c, t))
-                        nxt.append(t)
-        frontier = nxt
-    if len(tree) + 1 != rep.degree:
+    columns = _image_columns(rep.images[name].images for name in names)
+    order, came = _breadth_first(rep.degree, columns, base_point)
+    if len(order) != rep.degree:
         raise ValueError("representation is not transitive; stabilizer has no finite transversal data")
+    tree = [(columns[came[t] ^ 1][t], came[t], t) for t in order[1:]]  # type: ignore[operator]
     edges = []
-    for s in [base_point] + [t for _, _, t in tree]:
-        for i, (img, _) in enumerate(moves):
-            t = img[s]
-            if up[t] != (s, 2 * i) and up[s] != (t, 2 * i + 1):  # not a tree edge, either way round
-                edges.append((s, 2 * i, t))
+    for s in order:
+        for c in range(0, len(columns), 2):
+            t = columns[c][s]
+            if came[t] != c and came[s] != c + 1:  # not a tree edge, either way round
+                edges.append((s, c, t))
     return StabilizerData(base_point, names, tuple(tree), tuple(edges))
 
 

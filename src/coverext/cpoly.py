@@ -259,11 +259,3 @@ class BivarPoly:
         for c in reversed(self.w_coeffs):
             out = out * w + c(z)
         return out
-
-    def dw(self) -> "BivarPoly":
-        if len(self.w_coeffs) == 1:
-            return BivarPoly((CPoly((0j,)),))
-        return BivarPoly(tuple(c.scale(k) for k, c in enumerate(self.w_coeffs) if k > 0))
-
-    def dz(self) -> "BivarPoly":
-        return BivarPoly(tuple(c.derivative() for c in self.w_coeffs))

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 from .cosets import CosetTable, Presentation, StabilizerData, pushed_coset_table, schreier_generators
 from .errors import CapExceeded, SurjectivityError
 from .perms import Perm
-from .reps import PermRep
+from .reps import PermRep, _image_columns
 from .words import Word
 
 
@@ -202,7 +202,10 @@ def maximality_check(result: ExtensionResult, candidate: PermRep) -> MaximalityV
     A candidate is an extension iff some equivariant map from the constructed
     coset action onto the candidate's sheets exists; such a map is determined
     by the image of coset 0, so the search is over ``candidate.degree``
-    starting points.  Equivalence means the map is a bijection (then its
+    starting points.  Each start is carried along the breadth-first spanning
+    tree of ``rho1`` (an inverse column through the candidate's inverse), and
+    a map fixed on a spanning tree is equivariant iff every other generator
+    edge agrees.  Equivalence means the map is a bijection (then its
     permutation is returned as the conjugating relabelling).  A candidate of
     degree above ``MAXIMALITY_CAP_DEGREE`` raises :class:`CapExceeded`.
     """
@@ -218,31 +221,16 @@ def maximality_check(result: ExtensionResult, candidate: PermRep) -> MaximalityV
         if not candidate.act_word(r).is_identity():
             return MaximalityVerdict(False, candidate.degree <= result.b1, False, None, None)
 
-    table = result.table
-    actions = {name: table.coset_action(name).images for name in pres.generators}
+    stab = schreier_generators(result.rho1, gen_order=pres.generators)
+    targets = _image_columns(candidate.images[name].images for name in pres.generators)
     quotient: tuple[int, ...] | None = None
     for t0 in range(candidate.degree):
-        f: list[int | None] = [None] * table.index
-        f[0] = t0
-        ok = True
-        frontier = [0]
-        while frontier and ok:
-            nxt: list[int] = []
-            for c in frontier:
-                for name in pres.generators:
-                    c2 = actions[name][c]
-                    t2 = candidate.images[name](f[c])  # type: ignore[arg-type]
-                    if f[c2] is None:
-                        f[c2] = t2
-                        nxt.append(c2)
-                    elif f[c2] != t2:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            frontier = nxt
-        if ok and None not in f and set(f) == set(range(candidate.degree)):  # onto
-            quotient = tuple(f)  # type: ignore[arg-type]
+        f = [t0] * result.b1
+        for s, c, t in stab.tree:
+            f[t] = targets[c][f[s]]
+        equivariant = all(f[t] == targets[c][f[s]] for s, c, t in stab.edges)
+        if equivariant and set(f) == set(range(candidate.degree)):  # onto
+            quotient = tuple(f)
             break
 
     is_ext = quotient is not None
@@ -260,20 +248,17 @@ def lift_is_closed(rep: PermRep, word: Word, sheet: int = 0) -> bool:
 def two_sheet_unique(k: int) -> bool:
     """Uniqueness of the 2-sheet cover with every loop acting nontrivially.
 
-    Enumerates all assignments of the k loop generators into the 2-point
-    symmetric group and keeps the transitive ones where no generator acts
-    trivially; returns True when exactly one assignment survives.
+    Enumerates the assignments of the k loop generators to non-identity
+    elements of the 2-point symmetric group (the only ones where no generator
+    acts trivially) and keeps the transitive ones; returns True when exactly
+    one assignment survives.
     """
     if k < 1:
         raise ValueError("need at least one generator")
-    e = Perm.identity(2)
-    t = Perm.transposition(2, 0, 1)
+    swap = Perm.transposition(2, 0, 1)  # the one non-identity element of S_2
     names = [f"g{i}" for i in range(k)]
     survivors = 0
-    for assignment in itertools.product((e, t), repeat=k):
-        if any(p.is_identity() for p in assignment):
-            continue
-        rep = PermRep(2, dict(zip(names, assignment)))
-        if rep.is_transitive():
+    for assignment in itertools.product((swap,), repeat=k):
+        if PermRep(2, dict(zip(names, assignment))).is_transitive():
             survivors += 1
     return survivors == 1

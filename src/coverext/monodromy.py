@@ -39,6 +39,7 @@ MAX_DEPTH = 40  # bisection levels of one track_path step before it fails
 SEPARATION_TOL = 1e-8  # relative gap below which fiber values do not separate
 WEIERSTRASS_STRIP_TOL = 1e-8  # relative size on the circle below which a coefficient drops
 CLOSURE_CAP = 1_000_000  # largest lasso group whose order closure_order computes
+CUT_TOL = 1e-6  # radians clockwise of a track_to cut at which a target still lies on it
 
 
 @dataclass(frozen=True)
@@ -326,10 +327,31 @@ def _route_segment(
         sweep_cw = sweep_ccw - 2 * math.pi
         sweep = sweep_ccw if abs(sweep_ccw) <= abs(sweep_cw) else sweep_cw
         nodes += _nodes(lambda t: cur + (p1 - cur) * t, abs(p1 - cur), step)
-        nodes += _nodes(lambda t: c + r * cmath.exp(1j * (th1 + sweep * t)), abs(sweep) * r, step)
+        nodes += _arc(c, r, th1, sweep, step)
         cur = p2
     nodes += _nodes(lambda t: cur + (b - cur) * t, abs(b - cur), step)
     return nodes
+
+
+def _arc(center: complex, radius: float, th: float, sweep: float, step: Step) -> list[complex]:
+    """Nodes along the circle |z - center| = radius from angle ``th`` through
+    ``sweep`` radians (counterclockwise when positive)."""
+    return _nodes(lambda t: center + radius * cmath.exp(1j * (th + sweep * t)), abs(sweep) * radius, step)
+
+
+def _approach(
+    basepoint: complex,
+    center: complex,
+    radius: float,
+    obstacles: Sequence[tuple[complex, float]],
+    step: Step,
+) -> tuple[list[complex], float]:
+    """Nodes from the basepoint to the entry point, the point of the circle
+    |z - center| = radius nearest the basepoint, routed around the obstacle
+    disks; and the entry point's angle about the centre."""
+    toward = basepoint - center
+    entry = center + radius * (toward / abs(toward) if toward else 1.0)
+    return _route_segment(basepoint, entry, obstacles, step), cmath.phase(entry - center)
 
 
 def _loop_nodes(
@@ -340,18 +362,10 @@ def _loop_nodes(
     step: Step,
 ) -> list[complex]:
     """Loop from the basepoint around the circle |z - center| = radius: the
-    approach routed around the obstacle disks to the circle point nearest
-    the basepoint, one counterclockwise turn, and the approach reversed."""
-    toward = basepoint - center
-    entry = center + radius * (toward / abs(toward) if toward else 1.0)
-    approach = _route_segment(basepoint, entry, obstacles, step)
-    th = cmath.phase(entry - center)
-    turn = _nodes(
-        lambda t: center + radius * cmath.exp(1j * (th + 2 * math.pi * t)),
-        2 * math.pi * radius,
-        step,
-    )
-    return approach + turn + approach[-2::-1]
+    approach to its entry point, one counterclockwise turn, and the approach
+    reversed."""
+    approach, th = _approach(basepoint, center, radius, obstacles, step)
+    return approach + _arc(center, radius, th, 2 * math.pi, step) + approach[-2::-1]
 
 
 def _loops(
@@ -521,14 +535,37 @@ def track_to(
     basepoint: complex | None = None,
     refine: int = 1,
 ) -> tuple[tuple[complex, ...], tuple[complex, ...], complex]:
-    """Continue the basepoint fiber to a target z along a detoured segment.
+    """Continue the basepoint fiber to a target z.
+
+    A target outside every lasso disk is reached along the segment from the
+    basepoint, arcing over the disks it crosses.  A target inside the disk
+    of a branch point is reached as that point's lasso reaches its circle:
+    the lasso's approach to the entry point, the counterclockwise arc to the
+    target's angle, then the radius in to the target.  The continued fiber
+    is therefore continuous in the target except across the cut, the radius
+    from the branch point to the entry point.  A target on the cut, or less
+    than ``CUT_TOL`` clockwise of it, takes no arc, so roundoff in the branch
+    point cannot move it across; farther clockwise the arc is almost a full
+    turn, and the fiber is the one counterclockwise of the cut permuted by
+    the lasso.  A target within 1e-9 of a branch point raises ``ValueError``.
 
     Returns (basepoint fiber, continued fiber aligned to it, basepoint used).
     """
     branch, basepoint, fiber0 = _start(cover, basepoint, refine)
-    radii = lasso_radii(branch, basepoint)
-    obstacles = [(c, r) for c, r in zip(branch, radii) if abs(target - c) > r]
-    nodes = _route_segment(basepoint, target, obstacles, _step_rule(branch, radii, refine))
+    if any(abs(target - c) < 1e-9 for c in branch):
+        raise ValueError("target coincides with a branch point")
+    disks = list(zip(branch, lasso_radii(branch, basepoint)))
+    step = _step_rule(branch, [r for _, r in disks], refine)
+    k = next((k for k, (c, r) in enumerate(disks) if abs(target - c) <= r), None)
+    if k is None:
+        nodes = _route_segment(basepoint, target, disks, step)
+    else:
+        c, r = disks[k]
+        nodes, th = _approach(basepoint, c, r, disks[:k] + disks[k + 1:], step)
+        sweep = (cmath.phase(target - c) - th) % (2 * math.pi)
+        nodes += _arc(c, r, th, 0.0 if sweep > 2 * math.pi - CUT_TOL else sweep, step)
+        end = nodes[-1]
+        nodes += _nodes(lambda t: end + (target - end) * t, abs(target - end), step)
     return fiber0, track_path(cover, nodes, fiber0), basepoint
 
 

@@ -3,10 +3,41 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .perms import Perm, inverse_images
 from .words import Word
+
+
+def _image_columns(tables: Iterable[Sequence[int]]) -> list[Sequence[int]]:
+    """Each image table followed by its inverse: column ``2i`` is generator
+    ``i`` and ``2i + 1`` its inverse, as the coset table numbers them."""
+    return [col for img in tables for col in (img, inverse_images(img))]
+
+
+def _breadth_first(
+    degree: int, columns: Sequence[Sequence[int]], start: int
+) -> tuple[list[int], list[int | None]]:
+    """Breadth-first walk from ``start``: the points in discovery order, and
+    for each point the column that first reached it (``-1`` at ``start``,
+    ``None`` where the walk never came).
+
+    From each point the columns are tried in order.  The point that a column
+    ``c`` came from is ``columns[c ^ 1][t]``, so the walk is also the
+    spanning tree of the orbit (the arrival-column "Schreier vector" of Holt,
+    Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, §4.1).
+    """
+    came: list[int | None] = [None] * degree
+    came[start] = -1
+    order = [start]
+    numbered = list(enumerate(columns))
+    for x in order:  # the order grows while it is walked
+        for c, col in numbered:
+            y = col[x]
+            if came[y] is None:
+                came[y] = c
+                order.append(y)
+    return order, came
 
 
 @dataclass(frozen=True)
@@ -51,22 +82,8 @@ class PermRep:
         its inverse's, in ``images`` order.  Each inverse table is built once,
         so the cost is O(degree * k) for k generators.
         """
-        moves = [(p.images, inverse_images(p.images)) for p in self.images.values()]
-        seen = [False] * self.degree
-        seen[point] = True
-        order = [point]
-        frontier = [point]
-        while frontier:
-            nxt: list[int] = []
-            for x in frontier:
-                for img, inv in moves:
-                    for y in (img[x], inv[x]):
-                        if not seen[y]:
-                            seen[y] = True
-                            order.append(y)
-                            nxt.append(y)
-            frontier = nxt
-        return tuple(order)
+        columns = _image_columns(p.images for p in self.images.values())
+        return tuple(_breadth_first(self.degree, columns, point)[0])
 
     def is_transitive(self) -> bool:
         return self.degree == 0 or len(self.orbit(0)) == self.degree

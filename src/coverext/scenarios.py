@@ -105,6 +105,13 @@ def _as_positive_int(v: Any, path: str) -> int:
     return n
 
 
+def _as_nonnegative_int(v: Any, path: str) -> int:
+    n = _as_int(v, path)
+    if n < 0:
+        raise _ctx(path, f"expected a non-negative integer, got {n}")
+    return n
+
+
 def _as_number(v: Any, path: str) -> float:
     # fails for NaN, the infinities and integers beyond the float range
     if not abs(_as_real(v, path)) <= sys.float_info.max:
@@ -348,7 +355,7 @@ def _run_braid_search(body: dict) -> _Outcome:
     if mode == "homs":
         _check_keys(body, {"mode", "strands", "degree", "pinned", "cap"}, path)
         strands = _field(body, "strands", path, _as_int)
-        degree = _field(body, "degree", path, _as_int)
+        degree = _field(body, "degree", path, _as_nonnegative_int)
         pinned = _field(body, "pinned", path, lambda v, p: _as_perms(v, p, degree), {})
         cap = _field(body, "cap", path, _as_positive_int, 10_000_000)
         sols = hom_search(strands, degree, pinned, cap=cap)

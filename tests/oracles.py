@@ -6,7 +6,8 @@ formulas, group-theoretic counts from breadth-first search on raw index
 tuples, lasso permutations from nearest-root matching of companion-matrix
 fibers along a fine uniform subdivision.  The word oracles use only ``Word`` multiplication and inversion, one
 factor at a time, as the reference for batched substitution and powers.
-Coset tables are checked entry by entry on their raw rows.
+Coset tables are checked entry by entry on their raw rows, and maximality
+verdicts by breadth-first propagation along those rows.
 """
 
 from __future__ import annotations
@@ -256,6 +257,50 @@ def coset_table_closes(table: CosetTable, relators, subgroup) -> bool:
     return all(walk(c, r) == c for r in relators for c in range(n)) and all(
         walk(0, w) == 0 for w in subgroup
     )
+
+
+def maximality_by_bfs(result, candidate) -> tuple:
+    """The five fields of ``maximality_check`` (the conjugator as its image
+    tuple), by the package's earlier search: relators chased point by point
+    on the candidate, then for each image t0 of coset 0 a breadth-first
+    propagation along the forward generator columns of the raw coset table,
+    stopped at the first conflicting edge."""
+    pres = result.inclusion.target
+    images = {name: candidate.images[name].images for name in pres.generators}
+    degree_ok = candidate.degree <= result.b1
+    for r in pres.relators:
+        if any(chase(images, r, x) != x for x in range(candidate.degree)):
+            return False, degree_ok, False, None, None
+
+    table = result.table
+    actions = {name: tuple(row[2 * i] for row in table.rows) for i, name in enumerate(table.gen_names)}
+    quotient = None
+    for t0 in range(candidate.degree):
+        f = [None] * table.index
+        f[0] = t0
+        ok = True
+        frontier = [0]
+        while frontier and ok:
+            nxt = []
+            for c in frontier:
+                for name in pres.generators:
+                    c2 = actions[name][c]
+                    t2 = images[name][f[c]]
+                    if f[c2] is None:
+                        f[c2] = t2
+                        nxt.append(c2)
+                    elif f[c2] != t2:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            frontier = nxt
+        if ok and None not in f and set(f) == set(range(candidate.degree)):  # onto
+            quotient = tuple(f)
+            break
+    is_ext = quotient is not None
+    equivalent = is_ext and candidate.degree == result.b1
+    return is_ext, degree_ok, equivalent, quotient, quotient if equivalent else None
 
 
 def fd_complex_hessian_loop(f, w: np.ndarray, h: float) -> np.ndarray:

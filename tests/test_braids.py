@@ -268,3 +268,8 @@ def test_trivial_targets_answer_without_the_presentation(monkeypatch):
     res = minimal_extension_degree(one_sheet, 2000)
     assert res.degree == 1 and res.images == dict.fromkeys(names, Perm.identity(1))
     assert perf_counter() - t0 < 1.0
+
+
+def test_hom_search_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="non-negative"):
+        hom_search(3, -3)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverext.cosets import CosetTable, Presentation, schreier_generators, todd_coxeter
+from coverext.cosets import CosetTable, Presentation, StabilizerData, schreier_generators, todd_coxeter
 from coverext.errors import CapExceeded
 from coverext.perms import Perm
 from coverext.reps import PermRep
+from coverext.scenarios import run_bundled
 from coverext.words import Word, format_word, parse_word
 
 from oracles import (
@@ -110,6 +111,26 @@ def test_schreier_counts_and_stabilization():
             assert rep.act_word(t)(stab.base_point) == s
         for w in stab.generators:
             assert rep.act_word(w)(stab.base_point) == stab.base_point
+
+
+def test_stabilizer_words_push_the_source_once(monkeypatch):
+    pushes = []
+    real = StabilizerData._pushed
+
+    def counted(self, letter):
+        pushes.append(letter)
+        return real(self, letter)
+
+    monkeypatch.setattr(StabilizerData, "_pushed", counted)
+    rep = PermRep(3, {"a": Perm.from_images([1, 2, 0]), "b": Perm.from_images([1, 0, 2])})
+    stab = schreier_generators(rep)
+    assert len(stab.transversal) == 3 and len(stab.generators) == 4
+    assert len(stab.transversal) == 3
+    assert len(pushes) == 1
+    pushes.clear()
+    # the extension runner pushes once through the inclusion and once for the words
+    assert run_bundled("two_sheet_extension").status == "ok"
+    assert len(pushes) == 2
 
 
 def test_schreier_requires_transitive():

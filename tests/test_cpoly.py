@@ -195,8 +195,4 @@ def test_bivar_poly_evaluation_and_slices():
     direct = (1 + 2 * z) + (z) * w + 3 * w**2
     assert abs(f(z, w) - direct) < 1e-12
     assert abs(f.at_z(z)(w) - direct) < 1e-12
-    dw = f.dw()
-    assert abs(dw(z, w) - (z + 6 * w)) < 1e-12
-    dz = f.dz()
-    assert abs(dz(z, w) - (2 + w)) < 1e-12
     assert BivarPoly.from_lists([[0.0], [0.0]]).w_degree == -1

@@ -8,6 +8,7 @@ import pytest
 
 from coverext.cpoly import BivarPoly, CPoly
 from coverext.errors import DegenerateCover
+from coverext import monodromy
 from coverext.monodromy import (
     CoverSlice,
     _loops,
@@ -194,6 +195,46 @@ def test_track_to_next_to_a_branch_point_terminates():
         assert min(abs(w - e) for e in end) < 1e-6
 
 
+def test_track_to_is_continuous_inside_a_lasso_disk():
+    # 0.5 lies in the disk about +1, opposite the entry point 1.6
+    _, mid, _ = track_to(CUBIC, 0.5)
+    for w in CUBIC.fiber(0.5):
+        assert min(abs(w - e) for e in mid) < 1e-9
+    for side in (1e-3j, -1e-3j):
+        _, end, _ = track_to(CUBIC, 0.5 + side)
+        assert max(abs(a - b) for a, b in zip(mid, end)) < 1e-2
+
+
+def test_track_to_across_a_cut_differs_by_the_lasso():
+    mono = full_monodromy(CUBIC)
+    for center, radius, lasso in zip(mono.branch, mono.radii, mono.perms):
+        out = (mono.basepoint - center) / abs(mono.basepoint - center)
+        on_cut = center + 0.5 * radius * out
+        _, ccw, _ = track_to(CUBIC, on_cut + 1e-3j * out)
+        _, cw, _ = track_to(CUBIC, on_cut - 1e-3j * out)
+        assert lasso.images != tuple(range(3))
+        assert all(abs(cw[i] - ccw[lasso(i)]) < 1e-2 for i in range(3))
+
+
+def test_track_to_outside_every_disk_follows_the_detoured_segment(monkeypatch):
+    paths = []
+    track_path = monodromy.track_path
+
+    def recorded(cover, nodes, fiber):
+        paths.append(nodes)
+        return track_path(cover, nodes, fiber)
+
+    monkeypatch.setattr(monodromy, "track_path", recorded)
+    branch = branch_points(CUBIC)
+    base = auto_basepoint(branch)
+    radii = lasso_radii(branch, base)
+    step = monodromy._step_rule(branch, radii, 1)
+    for target in (0.5j, -2.0 - 0.3j, 1.0 + 0.61j):
+        assert all(abs(target - c) > r for c, r in zip(branch, radii))
+        track_to(CUBIC, target)
+        assert paths.pop() == monodromy._route_segment(base, target, list(zip(branch, radii)), step)
+
+
 def test_track_to_without_branch_points():
     flat = CoverSlice(BivarPoly.from_lists([[0.0, -1.0], [1.0]]))  # w = z
     fiber0, end, base = track_to(flat, 3.0 + 1.0j, basepoint=0.0)
@@ -229,6 +270,9 @@ def test_basepoint_on_branch_point_rejected():
     b = max(branch_points(CUBIC), key=lambda c: c.real)
     with pytest.raises(ValueError, match="branch point"):
         track_to(CUBIC, 0.5j, basepoint=b)
+    for c in branch_points(CUBIC):
+        with pytest.raises(ValueError, match="target coincides with a branch point"):
+            track_to(CUBIC, c + 1e-10)
     for refine in (0, -1):
         with pytest.raises(ValueError, match="refine"):
             full_monodromy(STEIN, refine=refine)

@@ -107,6 +107,9 @@ def test_schema_rejections():
         homs = {"kind": "braid-search", "mode": "homs", "strands": 3, "degree": 2, "cap": cap}
         with pytest.raises(SchemaError, match=rf"at scenario\.cap: expected a positive integer, got {cap}"):
             run_payload(homs)
+    homs = {"kind": "braid-search", "mode": "homs", "strands": 3, "degree": -3}
+    with pytest.raises(SchemaError, match=r"at scenario\.degree: expected a non-negative integer, got -3"):
+        run_payload(homs)
     good_rho0 = {"degree": 2, "images": {"s1": [1, 0], "s2": [1, 0]}}
     minimal = {"kind": "braid-search", "mode": "minimal-extension", "strands": 4, "rho0": good_rho0}
     with pytest.raises(SchemaError, match=r"at scenario\.cap_degree: expected a positive integer, got 0"):
