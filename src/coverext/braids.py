@@ -9,6 +9,13 @@ generator images pinned; every accepted or rejected candidate is judged by two
 independent relator evaluators (group composition vs raw point chasing), and a
 disagreement aborts the search, so the returned list is exhaustive by
 construction.
+
+Every generator is conjugate to ``s1``: the braid relation gives
+``s_{i+1} = (s_i s_{i+1}) s_i (s_i s_{i+1})^-1``.  So a homomorphism into S_d
+sends all generators into one conjugacy class, that is, one cycle type, and
+both searches draw a generator's candidates from a single class.  An
+assignment that mixes classes breaks some braid relation, so skipping those
+candidates loses no solution.
 """
 
 from __future__ import annotations
@@ -21,12 +28,13 @@ from typing import Iterator, Mapping, Sequence
 from .cosets import Presentation
 from .errors import CapExceeded
 from .extension import Inclusion
-from .perms import Perm, inverse_images
+from .perms import Perm, cycle_type_of, inverse_images
 from .reps import PermRep, _breadth_first, _image_columns
 from .words import Word
 
 
 _GENERATOR_RE = re.compile(r"s([1-9][0-9]*)")
+SEARCH_CAP = 10_000_000  # default bound on the raw assignment space of a search
 
 
 def braid_generator_names(m: int) -> tuple[str, ...]:
@@ -178,22 +186,38 @@ def _space_exceeds(degree: int, free: int, cap: int) -> bool:
     return False
 
 
+def _conjugacy_classes(degree: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """S_degree as raw image tuples, grouped by cycle type.
+
+    Each class keeps the lexicographic order of ``itertools.permutations``.
+    """
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for img in itertools.permutations(range(degree)):
+        classes.setdefault(cycle_type_of(img), []).append(img)
+    return classes
+
+
 def hom_search(
     m: int,
     degree: int,
     pinned: Mapping[str, Perm] | None = None,
-    cap: int = 10_000_000,
+    cap: int = SEARCH_CAP,
 ) -> tuple[dict[str, Perm], ...]:
     """All homomorphisms from the m-strand braid group into S_degree.
 
-    ``pinned`` fixes the images of some generators; the rest range over the
-    whole symmetric group.  Candidates are pruned as soon as a relator with
-    fully assigned support fails (both evaluators are consulted at every
-    check, and each relator is checked once per partial assignment).  Raises
-    :class:`CapExceeded` when the raw search space exceeds ``cap``
-    assignments, before the presentation or any candidate is built.  With
-    every generator pinned only the relators are checked.  Into S_0 or S_1
-    the one homomorphism is returned without building the presentation.
+    ``pinned`` fixes the images of some generators.  Since every generator is
+    conjugate to ``s1``, all images of a homomorphism share one cycle type:
+    the free generators range over one conjugacy class of S_degree at a
+    time, or only over the class of a pinned image.  The search is still
+    exhaustive; pins of different classes leave no solution, which the
+    relators find.  Candidates are pruned as soon as a relator with fully
+    assigned support fails (both evaluators are consulted at every check, and
+    each relator is checked once per partial assignment).  Solutions come
+    sorted by their images in generator order.  Raises :class:`CapExceeded`
+    when the raw space of ``(degree!)^free`` assignments exceeds ``cap``,
+    before the presentation or any candidate is built.  With every generator
+    pinned only the relators are checked.  Into S_0 or S_1 the one
+    homomorphism is returned without building the presentation.
     """
     if m < 1:
         raise ValueError("need at least one strand")
@@ -216,9 +240,18 @@ def hom_search(
     pres = braid_presentation(m)
     names = pres.generators
     free_names = [n for n in names if n not in pinned]
-    sym = list(itertools.permutations(range(degree))) if free_names else []
     fixed = {name: tuple(p.images) for name, p in pinned.items()}
-    solutions = list(_assignments(degree, pres.relators, fixed, [(n, sym) for n in free_names]))
+    if not free_names:  # only the relators on the pins are checked
+        classes: list[list[tuple[int, ...]]] = [[]]
+    elif fixed:
+        classes = [_conjugacy_classes(degree)[cycle_type_of(next(iter(fixed.values())))]]
+    else:
+        classes = list(_conjugacy_classes(degree).values())
+    solutions = [
+        sol
+        for members in classes
+        for sol in _assignments(degree, pres.relators, fixed, [(n, members) for n in free_names])
+    ]
     solutions.sort(key=lambda sol: tuple(sol[n] for n in names))
     return tuple({name: Perm(img) for name, img in sol.items()} for sol in solutions)
 
@@ -244,10 +277,13 @@ def minimal_extension_degree(
     injective equivariant map.  Conjugating any witness moves the embedded
     fiber to the first ``b0`` sheets, so only the standard inclusion is
     searched: shared generators must act on those sheets exactly as ``rho0``
-    (and hence permute the remaining sheets among themselves); everything else
-    is free.  A cover of at most one sheet extends on one sheet, found
-    without building the presentation.  Raises :class:`CapExceeded` past
-    ``cap_degree``.
+    (and hence permute the remaining sheets among themselves); each new
+    generator ranges over the conjugacy class of the image of ``s1``, since
+    every generator is conjugate to it.  The first transitive solution in
+    depth-first order is returned.  A cover of at most one sheet extends on
+    one sheet, found without building the presentation.  Raises
+    :class:`CapExceeded` past ``cap_degree``, or before listing S_N when N!
+    exceeds ``SEARCH_CAP``.
     """
     small_names = sorted(rho0.images, key=lambda s: int(s.lstrip("s")))
     if small_names != list(braid_generator_names(len(small_names) + 1)):
@@ -264,11 +300,15 @@ def minimal_extension_degree(
     new_names = [n for n in pres.generators if n not in rho0.images]
 
     for degree in range(max(b0, 1), cap_degree + 1):
+        if _space_exceeds(degree, 1, SEARCH_CAP):
+            raise CapExceeded(f"degree {degree}: its {degree}! candidate images exceed the search cap {SEARCH_CAP}")
+        classes = _conjugacy_classes(degree)
         tails = list(itertools.permutations(range(b0, degree)))
-        sym = list(itertools.permutations(range(degree)))
-        slots = [(n, [tuple(rho0.images[n].images) + tail for tail in tails]) for n in small_names]
-        slots += [(n, sym) for n in new_names]
-        for a in _assignments(degree, pres.relators, {}, slots):
-            if len(_breadth_first(degree, _image_columns(a.values()), 0)[0]) == degree:  # transitive
-                return MinimalExtensionResult(degree, {n: Perm(img) for n, img in a.items()})
+        lifts = {n: [tuple(rho0.images[n].images) + tail for tail in tails] for n in small_names}
+        first, *rest = small_names
+        for image in lifts[first]:
+            slots = [(n, lifts[n]) for n in rest] + [(n, classes[cycle_type_of(image)]) for n in new_names]
+            for a in _assignments(degree, pres.relators, {first: image}, slots):
+                if len(_breadth_first(degree, _image_columns(a.values()), 0)[0]) == degree:  # transitive
+                    return MinimalExtensionResult(degree, {n: Perm(img) for n, img in a.items()})
     raise CapExceeded(f"no extension found up to degree cap {cap_degree}")

@@ -106,9 +106,7 @@ class Perm:
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, sorted descending."""
-        lengths = [len(c) for c in self.cycles()]
-        lengths += [1] * (self.degree - sum(lengths))
-        return tuple(sorted(lengths, reverse=True))
+        return cycle_type_of(self.images)
 
     def order(self) -> int:
         from math import lcm
@@ -131,6 +129,25 @@ def inverse_images(images: Sequence[int]) -> tuple[int, ...]:
     for x, y in enumerate(images):
         inv[y] = x
     return tuple(inv)
+
+
+def cycle_type_of(images: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of a raw image tuple, fixed points included, sorted descending.
+
+    Two permutations of the same degree are conjugate exactly when these agree.
+    """
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def format_cycles(p: Perm) -> str:

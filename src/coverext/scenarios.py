@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .braids import hom_search, minimal_extension_degree
+from .braids import SEARCH_CAP, hom_search, minimal_extension_degree
 from .cosets import CosetTable, Presentation
 from .cpoly import BivarPoly
 from .errors import CapExceeded, SchemaError, SurjectivityError
@@ -357,11 +357,12 @@ def _run_braid_search(body: dict) -> _Outcome:
         strands = _field(body, "strands", path, _as_int)
         degree = _field(body, "degree", path, _as_nonnegative_int)
         pinned = _field(body, "pinned", path, lambda v, p: _as_perms(v, p, degree), {})
-        cap = _field(body, "cap", path, _as_positive_int, 10_000_000)
+        cap = _field(body, "cap", path, _as_positive_int, SEARCH_CAP)
         sols = hom_search(strands, degree, pinned, cap=cap)
+        free = max(strands - 1, 0) - len(pinned)
         return {
             "exhaustive": True,
-            "search_space": factorial(degree) ** (max(strands - 1, 0) - len(pinned)),
+            "search_space": factorial(degree) ** free if free else 1,
             "solution_count": len(sols),
             "solutions": [_images2j(sol) for sol in sols],
         }, None

@@ -137,12 +137,9 @@ def chase(images: dict[str, tuple[int, ...]], word: Word, x: int) -> int:
     return x
 
 
-def braid_homs_by_chase(m: int, degree: int) -> set[tuple[tuple[int, ...], ...]]:
-    """Every assignment of S_degree to s1..s{m-1} under which each braid
-    relation (s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1}, s_i s_j = s_j s_i for
-    j >= i + 2) takes every point to the same place on both sides, by brute
-    force and ``chase`` on raw tuples."""
-    names = [f"s{i}" for i in range(1, m)]
+def _braid_relations(m: int) -> list[tuple[Word, Word]]:
+    """Both sides of s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1} and of s_i s_j = s_j s_i
+    for j >= i + 2, spelled out letter by letter."""
     relations = []
     for i in range(1, m - 1):
         a, b = f"s{i}", f"s{i + 1}"
@@ -150,12 +147,45 @@ def braid_homs_by_chase(m: int, degree: int) -> set[tuple[tuple[int, ...], ...]]
         for j in range(i + 2, m):
             c = f"s{j}"
             relations.append((Word(((a, 1), (c, 1))), Word(((c, 1), (a, 1)))))
+    return relations
+
+
+def _relations_hold(images: dict[str, tuple[int, ...]], relations, degree: int) -> bool:
+    return all(chase(images, lhs, x) == chase(images, rhs, x) for lhs, rhs in relations for x in range(degree))
+
+
+def braid_homs_by_chase(m: int, degree: int) -> set[tuple[tuple[int, ...], ...]]:
+    """Every assignment of S_degree to s1..s{m-1} under which each braid
+    relation takes every point to the same place on both sides, by brute
+    force and ``chase`` on raw tuples."""
+    names = [f"s{i}" for i in range(1, m)]
+    relations = _braid_relations(m)
     out = set()
     for combo in itertools.product(itertools.permutations(range(degree)), repeat=len(names)):
-        images = dict(zip(names, combo))
-        if all(chase(images, lhs, x) == chase(images, rhs, x) for lhs, rhs in relations for x in range(degree)):
+        if _relations_hold(dict(zip(names, combo)), relations, degree):
             out.add(combo)
     return out
+
+
+def minimal_extension_by_product(
+    images: dict[str, tuple[int, ...]], b0: int, m_big: int, cap_degree: int
+) -> tuple[int, dict[str, tuple[int, ...]]] | None:
+    """The least N in b0..cap_degree with a transitive braid action of s1..s{m_big-1}
+    on N sheets whose given generators act on sheets 0..b0-1 as ``images``, and
+    its first action in the lexicographic order of the image tuples (given
+    generators run over ``images`` followed by a permutation of the other
+    sheets, the rest over all of S_N), by brute force; None when there is none."""
+    names = [f"s{i}" for i in range(1, m_big)]
+    relations = _braid_relations(m_big)
+    for degree in range(max(b0, 1), cap_degree + 1):
+        tails = list(itertools.permutations(range(b0, degree)))
+        sym = list(itertools.permutations(range(degree)))
+        choices = [[images[n] + tail for tail in tails] if n in images else sym for n in names]
+        for combo in itertools.product(*choices):
+            action = dict(zip(names, combo))
+            if _relations_hold(action, relations, degree) and orbit_size(list(combo), 0) == degree:
+                return degree, action
+    return None
 
 
 def power_iterated(word: Word, k: int) -> Word:

@@ -21,7 +21,7 @@ from coverext.errors import CapExceeded
 from coverext.perms import Perm
 from coverext.reps import PermRep
 
-from oracles import braid_homs_by_chase
+from oracles import braid_homs_by_chase, minimal_extension_by_product, orbit_size
 
 
 def test_generator_names_and_relator_count():
@@ -116,6 +116,7 @@ def test_minimal_extension_of_standard_three_strand():
     assert res.images["s1"] == Perm.from_images([1, 0, 2])
     assert res.images["s2"] == Perm.from_images([0, 2, 1])
     assert res.images["s3"] == Perm.from_images([1, 0, 2])
+    assert list(res.images) == ["s1", "s2", "s3"]
     rep = PermRep(3, dict(res.images))
     assert rep.is_transitive()
     for r in braid_presentation(4).relators:
@@ -126,6 +127,7 @@ def test_minimal_extension_two_strand():
     res = minimal_extension_degree(standard_rep(2), 3)
     assert res.degree == 2
     assert res.images["s1"] == res.images["s2"] == Perm.from_images([1, 0])
+    assert list(res.images) == ["s1", "s2"]
 
 
 def test_minimal_extension_cap():
@@ -191,8 +193,9 @@ def test_hom_search_judges_each_candidate_once(monkeypatch):
     monkeypatch.setattr(braids, "_check_both_ways", counting)
     sols = hom_search(3, 3)
     assert len(sols) == 12
-    # one braid relator, judged once for each of the 6 * 6 full assignments
-    assert len(calls) == len(set(calls)) == 36
+    # one braid relator, judged once for each full assignment inside one
+    # conjugacy class of S3: classes of sizes 1, 3 and 2 give 1 + 3^2 + 2^2
+    assert len(calls) == len(set(calls)) == 14
     calls.clear()
     # a pinned-only relator that fails is judged once and ends the search
     pinned = {"s1": Perm.from_images([1, 0, 2]), "s3": Perm.from_images([0, 2, 1])}
@@ -273,3 +276,92 @@ def test_trivial_targets_answer_without_the_presentation(monkeypatch):
 def test_hom_search_rejects_a_negative_degree():
     with pytest.raises(ValueError, match="non-negative"):
         hom_search(3, -3)
+
+
+def _with_pins(brute, pinned):
+    """The brute-force solutions that agree with every pin, in sorted order."""
+    return sorted(t for t in brute if all(t[int(n[1:]) - 1] == p.images for n, p in pinned.items()))
+
+
+def test_hom_search_matches_the_chase_oracle_under_random_pins():
+    rng = np.random.default_rng(13)
+    for m in (2, 3, 4):
+        names = list(braid_generator_names(m))
+        for degree in (1, 2, 3, 4):
+            brute = braid_homs_by_chase(m, degree)
+            sym = list(itertools.permutations(range(degree)))
+            pin_sets = [{}]
+            for _ in range(6):  # random images on a random set of generators
+                chosen = rng.choice(names, size=int(rng.integers(1, m)), replace=False)
+                pin_sets.append({str(n): Perm(sym[rng.integers(len(sym))]) for n in chosen})
+            for _ in range(4):  # part of a genuine solution, so some survive
+                sol = sorted(brute)[rng.integers(len(brute))]
+                chosen = rng.choice(names, size=int(rng.integers(1, m)), replace=False)
+                pin_sets.append({str(n): Perm(sol[int(n[1:]) - 1]) for n in chosen})
+            if m > 2 and degree > 1:  # two pins of different cycle types: no solution
+                a, b = (str(n) for n in rng.choice(names, size=2, replace=False))
+                pin_sets.append({a: Perm.identity(degree), b: Perm.transposition(degree, 0, 1)})
+                assert hom_search(m, degree, pin_sets[-1]) == ()
+            for pinned in pin_sets:
+                sols = hom_search(m, degree, pinned)
+                want = _with_pins(brute, pinned)
+                assert [tuple(sol[n].images for n in names) for sol in sols] == want
+                free = [n for n in names if n not in pinned]
+                assert all(list(sol) == list(pinned) + free for sol in sols)
+
+
+def test_minimal_extension_matches_the_product_oracle():
+    rng = np.random.default_rng(17)
+    cases = 0
+    for m_small, m_big, b0, cap_degree, draws in (
+        (2, 3, 2, 4, 4),
+        (2, 3, 3, 5, 4),
+        (3, 4, 3, 5, 4),
+        (3, 4, 4, 5, 4),
+        (2, 4, 3, 4, 4),
+        (3, 5, 3, 5, 1),  # no extension on 3 or 4 sheets
+    ):
+        names = list(braid_generator_names(m_small))
+        actions = sorted(t for t in braid_homs_by_chase(m_small, b0) if orbit_size(list(t), 0) == b0)
+        for i in rng.choice(len(actions), size=min(draws, len(actions)), replace=False):
+            images = dict(zip(names, actions[i]))
+            want = minimal_extension_by_product(images, b0, m_big, cap_degree)
+            rho0 = PermRep(b0, {n: Perm(img) for n, img in images.items()})
+            if want is None:
+                with pytest.raises(CapExceeded):
+                    minimal_extension_degree(rho0, m_big, cap_degree=cap_degree)
+                continue
+            res = minimal_extension_degree(rho0, m_big, cap_degree=cap_degree)
+            assert (res.degree, [(n, p.images) for n, p in res.images.items()]) == (want[0], list(want[1].items()))
+            cases += 1
+    assert cases >= 10
+
+
+def test_minimal_extension_judges_new_generators_in_the_class_of_s1(monkeypatch):
+    calls = []
+    real = braids._check_both_ways
+
+    def recording(images, inverses, letters, degree):
+        calls.append(dict(images))
+        return real(images, inverses, letters, degree)
+
+    monkeypatch.setattr(braids, "_check_both_ways", recording)
+    rho0 = PermRep(4, {"s1": Perm((0, 2, 3, 1)), "s2": Perm((1, 3, 2, 0))})
+    with pytest.raises(CapExceeded, match="degree cap 6"):
+        minimal_extension_degree(rho0, 5, cap_degree=6)
+    # on 6 sheets s1 lifts with both tails, and each lift keeps its own class
+    assert {c["s1"][4:] for c in calls if len(c["s1"]) == 6} == {(4, 5), (5, 4)}
+    for c in calls:
+        assert {Perm(c[n]).cycle_type() for n in ("s3", "s4") if n in c} <= {Perm(c["s1"]).cycle_type()}
+
+
+def test_minimal_extension_refuses_to_list_a_huge_symmetric_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("S_11 listed")
+
+    monkeypatch.setattr(braids, "_conjugacy_classes", refuse)
+    cycle = PermRep(11, {"s1": Perm(tuple(range(1, 11)) + (0,))})
+    t0 = perf_counter()
+    with pytest.raises(CapExceeded, match="degree 11"):
+        minimal_extension_degree(cycle, 3, cap_degree=12)
+    assert perf_counter() - t0 < 1.0

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -417,3 +418,14 @@ def test_seeded_error_contract(name):
             pass
         except Exception as exc:  # noqa: BLE001 - any other type breaks the contract
             pytest.fail(f"{name}: {path} = {value!r} gave {exc!r}")
+
+
+def test_braid_search_with_no_free_generator_skips_the_factorial():
+    t0 = perf_counter()
+    report = run_payload({"kind": "braid-search", "mode": "homs", "strands": 1, "degree": 10**6})
+    assert report.results == {"exhaustive": True, "search_space": 1, "solution_count": 1, "solutions": [{}]}
+    pinned = {"s1": list(range(5000))}
+    report = run_payload({"kind": "braid-search", "mode": "homs", "strands": 2, "degree": 5000, "pinned": pinned})
+    assert report.results["search_space"] == 1
+    assert [sol["s1"]["images"] for sol in report.results["solutions"]] == [pinned["s1"]]
+    assert perf_counter() - t0 < 1.0
