@@ -13,13 +13,17 @@ the trivial subgroup (5040 and 40320 cosets, one sweep each), and
 ``hom_search`` at the benchmark sizes (4 strands into S4, 3 into S5) and at
 the scaled size 3 into S6 (6480 solutions).  Every braid solution is chased
 point by point through every relator with ``tests/oracles.chase``, and the
-solution set is compared with a brute-force search.  A wrong ``b1``, coset
-count or braid solution ends the script with a non-zero exit status.
+solution set is compared with a brute-force search.  Last it times
+``minimal_extension_degree`` of the 2-strand standard cover into 100, 200 and
+400 strands (it extends on 2 sheets), and chases each witness through every
+braid relation of ``tests/oracles``.  A wrong ``b1``, coset count, braid
+solution or witness ends the script with a non-zero exit status.
 
 One SHA-256 covers every answer, read after the timed calls: ``b1``, the
 fiber map, the ``rho1`` images and the table rows of each ``weak_extend``;
 the rows and representative words of each ``todd_coxeter`` table; and the
 solution tuples of each ``hom_search``.  Equal digests mean equal answers.
+The ``minimal_extension_degree`` row is checked but left out of the digest.
 
     python scripts/scale_groups.py
 """
@@ -35,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from coverext.braids import braid_presentation, hom_search
+from coverext.braids import braid_presentation, hom_search, minimal_extension_degree, standard_rep
 from coverext.cosets import Presentation, schreier_generators, todd_coxeter
 from coverext.extension import Inclusion, weak_extend
 from coverext.perms import Perm
@@ -43,13 +47,21 @@ from coverext.reps import PermRep
 from coverext.words import Word, format_word
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import braid_homs_by_chase, chase, coxeter_presentation, random_transitive_images  # noqa: E402
+from oracles import (  # noqa: E402
+    _braid_relations,
+    braid_homs_by_chase,
+    chase,
+    coxeter_presentation,
+    orbit_size,
+    random_transitive_images,
+)
 
 SIZES = (2000, 20000, 100000)
 GENERATORS = 2
 SEED = 2015
 COXETER = (7, 8)
 BRAIDS = ((4, 4), (3, 5), (3, 6))  # (strands, degree)
+EXTENSION_STRANDS = (100, 200, 400)  # m_big for the 2-strand standard cover
 
 
 def timed(fn):
@@ -101,6 +113,20 @@ def main() -> None:
             raise SystemExit(f"hom_search({m}, {degree}): {len(sols)} solutions, brute force {len(brute)}")
         print(f"{m:>8} {degree:>7} {t_hom:>13.3f} {len(sols):>10} {t_brute:>14.3f}", flush=True)
     print(f"answers sha256 {answers.hexdigest()}")
+    print(f"\n{'m_big':>8} {'minimal_extension_s':>20} {'degree':>7}")
+    for m_big in EXTENSION_STRANDS:
+        res, t_ext = timed(lambda: minimal_extension_degree(standard_rep(2), m_big))
+        images = {n: p.images for n, p in res.images.items()}
+        relations = _braid_relations(m_big)
+        if (
+            res.degree != 2
+            or len(images) != m_big - 1
+            or images["s1"] != (1, 0)
+            or orbit_size(list(images.values()), 0) != res.degree
+            or any(chase(images, lhs, x) != chase(images, rhs, x) for lhs, rhs in relations for x in range(res.degree))
+        ):
+            raise SystemExit(f"minimal_extension_degree(standard_rep(2), {m_big}): wrong witness {images}")
+        print(f"{m_big:>8} {t_ext:>20.3f} {res.degree:>7}", flush=True)
 
 
 if __name__ == "__main__":

@@ -4,11 +4,18 @@ Generators of the m-strand group are named ``s1 .. s{m-1}``.  Relators are the
 braid relations ``s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1}`` and the far
 commutations ``s_i s_j = s_j s_i`` for ``j >= i + 2``.
 
+Both searches run on the coset-table columns of ``reps``: ``s{g + 1}`` is
+column ``2g`` and its inverse ``2g + 1``.  ``_braid_relators`` writes the
+relators down once, as column tuples; ``braid_presentation`` spells them, and
+the searches read them directly, so neither builds a word.  ``_assignments``
+files each relator once, under the generator that completes its support.
+
 ``hom_search`` enumerates *all* homomorphisms into a symmetric group with some
 generator images pinned; every accepted or rejected candidate is judged by two
-independent relator evaluators (group composition vs raw point chasing), and a
-disagreement aborts the search, so the returned list is exhaustive by
-construction.
+independent relator evaluators, and a disagreement aborts the search, so the
+returned list is exhaustive by construction.  Composition reads each image
+and its inverse column; point chasing reads only the images and inverts with
+``row.index``, so a wrong inverse table cannot fool both.
 
 Every generator is conjugate to ``s1``: the braid relation gives
 ``s_{i+1} = (s_i s_{i+1}) s_i (s_i s_{i+1})^-1``.  So a homomorphism into S_d
@@ -29,7 +36,7 @@ from .cosets import Presentation
 from .errors import CapExceeded
 from .extension import Inclusion
 from .perms import Perm, cycle_type_of, inverse_images
-from .reps import PermRep, _breadth_first, _image_columns
+from .reps import PermRep, _breadth_first, _column_of, _columns, _image_columns, _spell
 from .words import Word
 
 
@@ -41,20 +48,21 @@ def braid_generator_names(m: int) -> tuple[str, ...]:
     return tuple(f"s{i}" for i in range(1, m))
 
 
+def _braid_relators(m: int) -> list[tuple[int, ...]]:
+    """The m-strand braid relators as columns (``s{g + 1}`` is column ``2g``):
+    every braid relation ``s_i s_{i+1} s_i (s_{i+1} s_i s_{i+1})^-1`` first,
+    then the far commutations ``s_i s_j s_i^-1 s_j^-1`` by ``(i, j)``."""
+    braid = [(2 * g, 2 * g + 2, 2 * g, 2 * g + 3, 2 * g + 1, 2 * g + 3) for g in range(m - 2)]
+    far = [(2 * g, 2 * h, 2 * g + 1, 2 * h + 1) for g in range(m - 2) for h in range(g + 2, m - 1)]
+    return braid + far
+
+
 def braid_presentation(m: int) -> Presentation:
     """The m-strand braid group on generators s1..s{m-1}."""
     if m < 1:
         raise ValueError("need at least one strand")
     names = braid_generator_names(m)
-    relators: list[Word] = []
-    for i in range(1, m - 1):
-        a, b = Word.gen(f"s{i}"), Word.gen(f"s{i + 1}")
-        relators.append(a * b * a * (b * a * b).inverse())
-    for i in range(1, m - 1):
-        for j in range(i + 2, m):
-            a, b = Word.gen(f"s{i}"), Word.gen(f"s{j}")
-            relators.append(a * b * a.inverse() * b.inverse())
-    return Presentation(names, tuple(relators))
+    return Presentation(names, _spell(_braid_relators(m), names))
 
 
 def standard_rep(m: int) -> PermRep:
@@ -70,18 +78,15 @@ def braid_inclusion(m_small: int, m_big: int) -> Inclusion:
     return Inclusion(small, {g: Word.gen(g) for g in small}, braid_presentation(m_big))
 
 
-def _fixes_every_point(
-    images: Mapping[str, tuple[int, ...]],
-    letters: Sequence[tuple[str, int]],
-    degree: int,
-) -> bool:
-    """Trace each point through the letters on raw image tuples, inverting
-    with ``row.index``; true when every point comes back to itself."""
+def _fixes_every_point(columns: Mapping[int, tuple[int, ...]], letters: Sequence[int], degree: int) -> bool:
+    """Trace each point through the letters on raw image tuples, reading only
+    the even columns and inverting with ``row.index``; true when every point
+    comes back to itself."""
     for start in range(degree):
         x = start
-        for name, step in letters:
-            row = images[name]
-            x = row[x] if step > 0 else row.index(x)
+        for c in letters:
+            row = columns[c & ~1]
+            x = row.index(x) if c & 1 else row[x]
         if x != start:
             return False
     return True
@@ -89,90 +94,90 @@ def _fixes_every_point(
 
 def relator_holds_pointwise(images: Mapping[str, tuple[int, ...]], relator: Word, degree: int) -> bool:
     """Independent relator check: the relator must fix every point."""
-    return _fixes_every_point(images, tuple(relator.letters()), degree)
+    col_of = _column_of(list(images))
+    columns = {col_of[name]: img for name, img in images.items()}
+    return _fixes_every_point(columns, _columns(relator, col_of), degree)
 
 
-def _composes_to_identity(
-    images: Mapping[str, tuple[int, ...]],
-    inverses: Mapping[str, tuple[int, ...]],
-    letters: Sequence[tuple[str, int]],
-    degree: int,
-) -> bool:
-    """Compose whole image tuples left to right, inverses read from ``inverses``."""
+def _composes_to_identity(columns: Mapping[int, tuple[int, ...]], letters: Sequence[int], degree: int) -> bool:
+    """Compose whole column tuples left to right, inverses included."""
     acc = identity = tuple(range(degree))
-    for name, step in letters:
-        acc = tuple(map((images if step > 0 else inverses)[name].__getitem__, acc))
+    for c in letters:
+        acc = tuple(map(columns[c].__getitem__, acc))
     return acc == identity
 
 
-def _check_both_ways(
-    images: Mapping[str, tuple[int, ...]],
-    inverses: Mapping[str, tuple[int, ...]],
-    letters: Sequence[tuple[str, int]],
-    degree: int,
-) -> bool:
-    """Judge one relator, given as its letters, by both evaluators.
+def _check_both_ways(columns: Mapping[int, tuple[int, ...]], letters: Sequence[int], degree: int) -> bool:
+    """Judge one relator, given as its columns, by both evaluators.
 
-    Composition reads the inverse tables; point chasing inverts with
-    ``row.index`` and never sees them, so the two share no derived data.
+    Composition reads the inverse columns; point chasing inverts with
+    ``row.index`` and never reads them, so the two share no derived data.
     """
-    a = _composes_to_identity(images, inverses, letters, degree)
-    b = _fixes_every_point(images, letters, degree)
+    a = _composes_to_identity(columns, letters, degree)
+    b = _fixes_every_point(columns, letters, degree)
     if a != b:
-        raise RuntimeError(f"relator evaluators disagree on {Word(tuple(letters))} with {dict(images)}")
+        raise RuntimeError(f"relator evaluators disagree on columns {tuple(letters)} with {dict(columns)}")
     return a
 
 
 def _assignments(
     degree: int,
-    relators: Sequence[Word],
-    fixed: Mapping[str, tuple[int, ...]],
-    slots: Sequence[tuple[str, Sequence[tuple[int, ...]]]],
-) -> Iterator[dict[str, tuple[int, ...]]]:
+    relators: Sequence[tuple[int, ...]],
+    fixed: Mapping[int, tuple[int, ...]],
+    slots: Sequence[tuple[int, Sequence[tuple[int, ...]]]],
+) -> Iterator[dict[int, tuple[int, ...]]]:
     """Every extension of ``fixed`` on which all relators hold, depth first.
 
-    Assignments are raw image tuples.  ``slots`` gives the generators still to
-    assign, in order, each with its candidate images.  Relators on ``fixed``
-    generators only are judged once, up front; every other relator is judged
-    once per partial assignment, when the last generator of its support is
-    assigned, by both evaluators.  Each relator is compiled to its letters
-    once per call, and each candidate is inverted once, when it is assigned.
+    Generators are keyed by index and relators are column tuples, generator
+    ``g`` being column ``2g`` and its inverse ``2g + 1``.  Assignments are raw
+    image tuples, keyed fixed generators first, then slots.  ``slots`` gives
+    the generators still to assign, in order, each with its candidate images.
+    Each relator is filed once, in one pass: under the slot whose generator
+    completes its support, or with the relators on ``fixed`` generators
+    only, which are judged once, up front.  The others are judged once per
+    partial assignment, when that slot is assigned, by both evaluators.
+    ``columns`` holds each assigned image and its inverse, inverted once when
+    it is assigned; composition reads both, point chasing only the images.
     """
-    compiled = [(tuple(r.letters()), set(r.generators())) for r in relators]
-    known = set(fixed)
-    on_fixed = [letters for letters, support in compiled if support <= known]
-    due: list[list[tuple[tuple[str, int], ...]]] = []
-    for name, _ in slots:
-        known.add(name)
-        due.append([letters for letters, support in compiled if name in support and support <= known])
-    images = dict(fixed)
-    inverses = {name: inverse_images(img) for name, img in fixed.items()}
-    if not all(_check_both_ways(images, inverses, r, degree) for r in on_fixed):
+    slot_of = {g: i for i, (g, _) in enumerate(slots)}
+    on_fixed: list[tuple[int, ...]] = []
+    due: list[list[tuple[int, ...]]] = [[] for _ in slots]
+    for r in relators:
+        last = max(slot_of.get(c >> 1, -1) for c in r)
+        (due[last] if last >= 0 else on_fixed).append(r)
+    columns: dict[int, tuple[int, ...]] = {}
+    for g, img in fixed.items():
+        columns[2 * g], columns[2 * g + 1] = img, inverse_images(img)
+    if not all(_check_both_ways(columns, r, degree) for r in on_fixed):
         return
+    order = [*fixed, *slot_of]
 
-    def extend(i: int) -> Iterator[dict[str, tuple[int, ...]]]:
+    def extend(i: int) -> Iterator[dict[int, tuple[int, ...]]]:
         if i == len(slots):
-            yield dict(images)
+            yield {g: columns[2 * g] for g in order}
             return
-        name, candidates = slots[i]
+        g, candidates = slots[i]
+        c = 2 * g
         for img in candidates:
-            images[name] = img
-            inverses[name] = inverse_images(img)
-            if all(_check_both_ways(images, inverses, r, degree) for r in due[i]):
+            columns[c] = img
+            columns[c + 1] = inverse_images(img)
+            if all(_check_both_ways(columns, r, degree) for r in due[i]):
                 yield from extend(i + 1)
-        del images[name], inverses[name]
+        del columns[c], columns[c + 1]
 
     yield from extend(0)
 
 
-def _is_generator_name(name: str, m: int) -> bool:
-    """Whether ``name`` is one of s1..s{m-1}, without listing them."""
+def _generator_index(name: str, m: int) -> int | None:
+    """The index ``g`` of ``name`` as ``s{g + 1}`` among s1..s{m-1}, or None
+    when it is not one of them; without listing them."""
     match = _GENERATOR_RE.fullmatch(name)
-    return match is not None and int(match.group(1)) < m
+    g = int(match.group(1)) - 1 if match else m
+    return g if g < m - 1 else None
 
 
-def _space_exceeds(degree: int, free: int, cap: int) -> bool:
-    """Whether ``factorial(degree) ** free`` exceeds ``cap``.
+def _search_space(degree: int, free: int, cap: int) -> int | None:
+    """``factorial(degree) ** free``, or None once it exceeds ``cap``.
 
     The product is built factor by factor and stops as soon as it passes
     ``cap``, so a huge ``degree`` or ``free`` costs about log2(cap) steps.
@@ -182,8 +187,8 @@ def _space_exceeds(degree: int, free: int, cap: int) -> bool:
         for k in range(2, degree + 1):
             space *= k
             if space > cap:
-                return True
-    return False
+                return None
+    return space
 
 
 def _conjugacy_classes(degree: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -215,45 +220,44 @@ def hom_search(
     each relator is checked once per partial assignment).  Solutions come
     sorted by their images in generator order.  Raises :class:`CapExceeded`
     when the raw space of ``(degree!)^free`` assignments exceeds ``cap``,
-    before the presentation or any candidate is built.  With every generator
-    pinned only the relators are checked.  Into S_0 or S_1 the one
-    homomorphism is returned without building the presentation.
+    before any relator or candidate is built.  With every generator pinned
+    only the relators are checked.  Into S_0 or S_1 the one homomorphism is
+    returned without building the relators.
     """
     if m < 1:
         raise ValueError("need at least one strand")
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
-    pinned = dict(pinned or {})
-    for name, p in pinned.items():
-        if not _is_generator_name(name, m):
+    fixed: dict[int, tuple[int, ...]] = {}
+    for name, p in (pinned or {}).items():
+        g = _generator_index(name, m)
+        if g is None:
             raise ValueError(f"pinned generator {name!r} is not one of s1..s{m - 1}")
         if p.degree != degree:
             raise ValueError(f"pinned image for {name!r} has degree {p.degree}, expected {degree}")
-    free = m - 1 - len(pinned)
-    if _space_exceeds(degree, free, cap):
+        fixed[g] = tuple(p.images)
+    free = m - 1 - len(fixed)
+    if _search_space(degree, free, cap) is None:
         raise CapExceeded(f"search space of ({degree}!)^{free} assignments exceeds cap {cap}")
+    free_gens = [g for g in range(m - 1) if g not in fixed]
     if degree <= 1:  # the one map into the trivial group; every relator holds
-        identity = Perm.identity(degree)
-        names = list(pinned) + [n for n in braid_generator_names(m) if n not in pinned]
-        return (dict.fromkeys(names, identity),)
+        return (dict.fromkeys((f"s{g + 1}" for g in [*fixed, *free_gens]), Perm.identity(degree)),)
 
-    pres = braid_presentation(m)
-    names = pres.generators
-    free_names = [n for n in names if n not in pinned]
-    fixed = {name: tuple(p.images) for name, p in pinned.items()}
-    if not free_names:  # only the relators on the pins are checked
+    if not free_gens:  # only the relators on the pins are checked
         classes: list[list[tuple[int, ...]]] = [[]]
     elif fixed:
         classes = [_conjugacy_classes(degree)[cycle_type_of(next(iter(fixed.values())))]]
     else:
         classes = list(_conjugacy_classes(degree).values())
+    relators = _braid_relators(m)
     solutions = [
         sol
         for members in classes
-        for sol in _assignments(degree, pres.relators, fixed, [(n, members) for n in free_names])
+        for sol in _assignments(degree, relators, fixed, [(g, members) for g in free_gens])
     ]
-    solutions.sort(key=lambda sol: tuple(sol[n] for n in names))
-    return tuple({name: Perm(img) for name, img in sol.items()} for sol in solutions)
+    solutions.sort(key=lambda sol: tuple(sol[g] for g in range(m - 1)))
+    names = braid_generator_names(m)
+    return tuple({names[g]: Perm(img) for g, img in sol.items()} for sol in solutions)
 
 
 @dataclass(frozen=True)
@@ -281,34 +285,32 @@ def minimal_extension_degree(
     generator ranges over the conjugacy class of the image of ``s1``, since
     every generator is conjugate to it.  The first transitive solution in
     depth-first order is returned.  A cover of at most one sheet extends on
-    one sheet, found without building the presentation.  Raises
+    one sheet, found without building the relators.  Raises
     :class:`CapExceeded` past ``cap_degree``, or before listing S_N when N!
     exceeds ``SEARCH_CAP``.
     """
-    small_names = sorted(rho0.images, key=lambda s: int(s.lstrip("s")))
-    if small_names != list(braid_generator_names(len(small_names) + 1)):
+    small_names = braid_generator_names(len(rho0.images) + 1)
+    if set(small_names) != set(rho0.images):
         raise ValueError("rho0 must use contiguous braid generator names s1..sk")
-    m_small = len(small_names) + 1
-    if m_small > m_big:
+    if len(small_names) + 1 > m_big:
         raise ValueError("target braid group must have at least as many strands")
     if not rho0.is_transitive():
         raise ValueError("rho0 must be transitive")
     b0 = rho0.degree
     if b0 <= 1 and cap_degree >= 1:  # the trivial action on one sheet extends
         return MinimalExtensionResult(1, dict.fromkeys(braid_generator_names(m_big), Perm.identity(1)))
-    pres = braid_presentation(m_big)
-    new_names = [n for n in pres.generators if n not in rho0.images]
+    relators = _braid_relators(m_big)
+    new_gens = range(len(small_names), m_big - 1)
 
     for degree in range(max(b0, 1), cap_degree + 1):
-        if _space_exceeds(degree, 1, SEARCH_CAP):
+        if _search_space(degree, 1, SEARCH_CAP) is None:
             raise CapExceeded(f"degree {degree}: its {degree}! candidate images exceed the search cap {SEARCH_CAP}")
         classes = _conjugacy_classes(degree)
         tails = list(itertools.permutations(range(b0, degree)))
-        lifts = {n: [tuple(rho0.images[n].images) + tail for tail in tails] for n in small_names}
-        first, *rest = small_names
-        for image in lifts[first]:
-            slots = [(n, lifts[n]) for n in rest] + [(n, classes[cycle_type_of(image)]) for n in new_names]
-            for a in _assignments(degree, pres.relators, {first: image}, slots):
+        first, *rest = [[tuple(rho0.images[n].images) + tail for tail in tails] for n in small_names]
+        for image in first:
+            slots = [*enumerate(rest, 1)] + [(g, classes[cycle_type_of(image)]) for g in new_gens]
+            for a in _assignments(degree, relators, {0: image}, slots):
                 if len(_breadth_first(degree, _image_columns(a.values()), 0)[0]) == degree:  # transitive
-                    return MinimalExtensionResult(degree, {n: Perm(img) for n, img in a.items()})
+                    return MinimalExtensionResult(degree, {f"s{g + 1}": Perm(img) for g, img in a.items()})
     raise CapExceeded(f"no extension found up to degree cap {cap_degree}")

@@ -11,13 +11,13 @@ Two complementary routes between subgroups and permutation actions:
   O'Brien, *Handbook of Computational Group Theory*, 2005, §5.1).
   Deterministic; bounded by a live-coset cap.
 
-Both run on integer columns, numbered as the coset table numbers them:
-column ``2i`` is generator ``i`` and ``2i + 1`` its inverse, so free
-reduction cancels ``c`` against ``c ^ 1``.  ``todd_coxeter`` compiles its
-words to columns once; ``pushed_coset_table`` pushes a stabilizer through a
-homomorphism given by word images and enumerates its cosets without building
-any word.  Words are spelled only when a caller reads them:
-``StabilizerData.transversal`` and ``.generators`` and
+Both run on the integer columns that ``reps`` owns, numbered as the coset
+table numbers them: column ``2i`` is generator ``i`` and ``2i + 1`` its
+inverse, so free reduction cancels ``c`` against ``c ^ 1``.  ``todd_coxeter``
+compiles its words to columns once; ``pushed_coset_table`` pushes a
+stabilizer through a homomorphism given by word images and enumerates its
+cosets without building any word.  Words are spelled only when a caller
+reads them: ``StabilizerData.transversal`` and ``.generators`` and
 ``CosetTable.rep_words`` are built on first access and cached.
 
 Cosets are right cosets, numbered from 0 (the subgroup itself), and the
@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded
 from .perms import Perm
-from .reps import PermRep, _breadth_first, _image_columns
+from .reps import PermRep, _breadth_first, _column_of, _columns, _image_columns, _spell
 from .words import Word
 
 
@@ -57,21 +57,6 @@ class Presentation:
         return Presentation(tuple(generators), ())
 
 
-def _column_of(gen_names: Sequence[str]) -> dict[str, int]:
-    """Coset-table column of each generator; its inverse is the next column."""
-    return {g: 2 * i for i, g in enumerate(gen_names)}
-
-
-def _columns(word: Word, col_of: Mapping[str, int]) -> tuple[int, ...]:
-    """A word's letters as columns; a reduced word gives reduced columns."""
-    out: list[int] = []
-    for name, exp in word.syllables:
-        if name not in col_of:
-            raise ValueError(f"word uses unknown generator {name!r}")
-        out += [col_of[name] + (exp < 0)] * abs(exp)
-    return tuple(out)
-
-
 def _inverse(cols: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([c ^ 1 for c in reversed(cols)])
 
@@ -82,12 +67,6 @@ def _product(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     while k < n and u[-1 - k] == v[k] ^ 1:
         k += 1
     return u[: len(u) - k] + v[k:]
-
-
-def _spell(words: Iterable[Iterable[int]], gen_names: Sequence[str]) -> tuple[Word, ...]:
-    """The words of column sequences (``Word`` reduces them freely)."""
-    letters = [(g, step) for g in gen_names for step in (1, -1)]
-    return tuple(Word(tuple(map(letters.__getitem__, cols))) for cols in words)
 
 
 @dataclass(frozen=True)
@@ -210,14 +189,9 @@ class CosetTable:
     def _col_of(self) -> dict[str, int]:
         return _column_of(self.gen_names)
 
-    def _col(self, name: str, step: int) -> int:
-        if name not in self._col_of:
-            raise ValueError(f"coset table has no generator {name!r}")
-        return self._col_of[name] + (0 if step > 0 else 1)
-
     def act(self, coset: int, word: Word) -> int:
         """Coset reached from ``coset`` by right multiplication with ``word``."""
-        return self._walk(coset, [self._col(name, step) for name, step in word.letters()])
+        return self._walk(coset, _columns(word, self._col_of))
 
     def _walk(self, coset: int, cols: Iterable[int]) -> int:
         rows = self.rows
@@ -226,7 +200,7 @@ class CosetTable:
         return coset
 
     def coset_action(self, name: str) -> Perm:
-        col = self._col(name, 1)
+        (col,) = _columns(Word.gen(name), self._col_of)
         return Perm(tuple(row[col] for row in self.rows))
 
     def to_rep(self) -> PermRep:

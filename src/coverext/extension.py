@@ -25,7 +25,6 @@ The extension is *strong* exactly when the fiber map is injective, i.e.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -248,17 +247,11 @@ def lift_is_closed(rep: PermRep, word: Word, sheet: int = 0) -> bool:
 def two_sheet_unique(k: int) -> bool:
     """Uniqueness of the 2-sheet cover with every loop acting nontrivially.
 
-    Enumerates the assignments of the k loop generators to non-identity
-    elements of the 2-point symmetric group (the only ones where no generator
-    acts trivially) and keeps the transitive ones; returns True when exactly
-    one assignment survives.
+    Every one of the k loop generators must go to a non-identity element of
+    the 2-point symmetric group, and the swap is the only one, so there is
+    exactly one candidate assignment.  It is transitive, since the swap
+    alone moves sheet 0 to sheet 1, so the answer is True for every k >= 1.
     """
     if k < 1:
         raise ValueError("need at least one generator")
-    swap = Perm.transposition(2, 0, 1)  # the one non-identity element of S_2
-    names = [f"g{i}" for i in range(k)]
-    survivors = 0
-    for assignment in itertools.product((swap,), repeat=k):
-        if PermRep(2, dict(zip(names, assignment))).is_transitive():
-            survivors += 1
-    return survivors == 1
+    return True

@@ -1,4 +1,12 @@
-"""Permutation representations: named generators acting on a finite sheet set."""
+"""Permutation representations: named generators acting on a finite sheet set.
+
+This module owns the integer column encoding that every group layer runs on:
+generator ``i`` of an ordered name list is column ``2i`` and its inverse is
+column ``2i + 1``, as a coset table numbers them (Holt, Eick & O'Brien,
+*Handbook of Computational Group Theory*, 2005, §5.1).  ``_column_of``,
+``_columns`` and ``_spell`` translate between names, words and columns, and
+``_image_columns`` and ``_breadth_first`` run actions on them.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +15,27 @@ from typing import Iterable, Mapping, Sequence
 
 from .perms import Perm, inverse_images
 from .words import Word
+
+
+def _column_of(gen_names: Sequence[str]) -> dict[str, int]:
+    """Coset-table column of each generator; its inverse is the next column."""
+    return {g: 2 * i for i, g in enumerate(gen_names)}
+
+
+def _columns(word: Word, col_of: Mapping[str, int]) -> tuple[int, ...]:
+    """A word's letters as columns; a reduced word gives reduced columns."""
+    out: list[int] = []
+    for name, exp in word.syllables:
+        if name not in col_of:
+            raise ValueError(f"word uses unknown generator {name!r}")
+        out += [col_of[name] + (exp < 0)] * abs(exp)
+    return tuple(out)
+
+
+def _spell(words: Iterable[Iterable[int]], gen_names: Sequence[str]) -> tuple[Word, ...]:
+    """The words of column sequences (``Word`` reduces them freely)."""
+    letters = [(g, step) for g in gen_names for step in (1, -1)]
+    return tuple(Word(tuple(map(letters.__getitem__, cols))) for cols in words)
 
 
 def _image_columns(tables: Iterable[Sequence[int]]) -> list[Sequence[int]]:

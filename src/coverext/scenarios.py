@@ -25,12 +25,11 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from math import factorial
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .braids import SEARCH_CAP, hom_search, minimal_extension_degree
+from .braids import SEARCH_CAP, _search_space, hom_search, minimal_extension_degree
 from .cosets import CosetTable, Presentation
 from .cpoly import BivarPoly
 from .errors import CapExceeded, SchemaError, SurjectivityError
@@ -359,10 +358,9 @@ def _run_braid_search(body: dict) -> _Outcome:
         pinned = _field(body, "pinned", path, lambda v, p: _as_perms(v, p, degree), {})
         cap = _field(body, "cap", path, _as_positive_int, SEARCH_CAP)
         sols = hom_search(strands, degree, pinned, cap=cap)
-        free = max(strands - 1, 0) - len(pinned)
         return {
             "exhaustive": True,
-            "search_space": factorial(degree) ** free if free else 1,
+            "search_space": _search_space(degree, strands - 1 - len(pinned), cap),
             "solution_count": len(sols),
             "solutions": [_images2j(sol) for sol in sols],
         }, None

@@ -19,9 +19,9 @@ from coverext.braids import (
 )
 from coverext.errors import CapExceeded
 from coverext.perms import Perm
-from coverext.reps import PermRep
+from coverext.reps import PermRep, _spell
 
-from oracles import braid_homs_by_chase, minimal_extension_by_product, orbit_size
+from oracles import _braid_relations, braid_homs_by_chase, chase, minimal_extension_by_product, orbit_size
 
 
 def test_generator_names_and_relator_count():
@@ -56,6 +56,35 @@ def test_pointwise_evaluator_matches_perm_composition():
             via_tuples = relator_holds_pointwise(tuples, rel, degree)
             via_perms = perms_relator_check(perms, rel, degree)
             assert via_tuples == via_perms
+
+
+def test_relators_are_the_braid_relations_in_order():
+    for m in range(1, 11):
+        relators = braid_presentation(m).relators
+        want = {lhs * rhs.inverse() for lhs, rhs in _braid_relations(m)}
+        assert len(relators) == len(set(relators)) == len(want) and set(relators) == want
+        braid = [(i, i + 1) for i in range(1, m - 1)]
+        far = [(i, j) for i in range(1, m - 1) for j in range(i + 2, m)]
+        pairs = [tuple(sorted(int(n[1:]) for n in r.generators())) for r in relators]
+        assert pairs == braid + far
+        assert all(r.length() == 6 for r in relators[: len(braid)])
+
+
+def test_point_chasing_reads_only_the_generator_columns():
+    rng = np.random.default_rng(21)
+    names = braid_generator_names(5)
+    relators = braids._braid_relators(5)
+    verdicts = set()
+    for _ in range(60):
+        degree = int(rng.integers(2, 6))
+        images = {n: tuple(int(x) for x in rng.permutation(degree)) for n in names}
+        even = {2 * g: images[n] for g, n in enumerate(names)}  # no inverse column at all
+        words = relators + [tuple(int(c) for c in rng.integers(0, 8, size=int(rng.integers(1, 9))))]
+        for cols, word in zip(words, _spell(words, names)):
+            holds = braids._fixes_every_point(even, cols, degree)
+            assert holds == all(chase(images, word, x) == x for x in range(degree))
+            verdicts.add(holds)
+    assert verdicts == {True, False}
 
 
 def perms_relator_check(perms, rel, degree):
@@ -182,13 +211,18 @@ def test_hom_search_matches_brute_force_with_pins(m, degree, pinned):
     assert got == _braid_homs_brute(m, degree, pinned)
 
 
+def _named(columns):
+    """The generator images among evaluator columns: column ``2g`` is ``s{g + 1}``."""
+    return {f"s{c // 2 + 1}": img for c, img in columns.items() if c % 2 == 0}
+
+
 def test_hom_search_judges_each_candidate_once(monkeypatch):
     calls = []
     real = braids._check_both_ways
 
-    def counting(images, inverses, letters, degree):
-        calls.append((tuple(sorted(images.items())), tuple(letters)))
-        return real(images, inverses, letters, degree)
+    def counting(columns, letters, degree):
+        calls.append((tuple(sorted(columns.items())), tuple(letters)))
+        return real(columns, letters, degree)
 
     monkeypatch.setattr(braids, "_check_both_ways", counting)
     sols = hom_search(3, 3)
@@ -207,9 +241,9 @@ def test_hom_search_raises_when_the_evaluators_disagree(monkeypatch):
     real = braids._composes_to_identity
     odd = {"s1": (1, 0, 2), "s2": (0, 2, 1)}  # a genuine solution
 
-    def flipped(images, inverses, letters, degree):
-        holds = real(images, inverses, letters, degree)
-        return not holds if dict(images) == odd else holds
+    def flipped(columns, letters, degree):
+        holds = real(columns, letters, degree)
+        return not holds if _named(columns) == odd else holds
 
     monkeypatch.setattr(braids, "_composes_to_identity", flipped)
     with pytest.raises(RuntimeError, match="disagree"):
@@ -271,6 +305,19 @@ def test_trivial_targets_answer_without_the_presentation(monkeypatch):
     res = minimal_extension_degree(one_sheet, 2000)
     assert res.degree == 1 and res.images == dict.fromkeys(names, Perm.identity(1))
     assert perf_counter() - t0 < 1.0
+
+
+def test_searches_build_no_presentation(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"braid_presentation({m}) built by a search")
+
+    monkeypatch.setattr(braids, "braid_presentation", refuse)
+    assert len(hom_search(4, 4)) == 144
+    t0 = perf_counter()
+    res = minimal_extension_degree(standard_rep(2), 400)
+    assert perf_counter() - t0 < 1.5
+    assert res.degree == 2 and list(res.images) == list(braid_generator_names(400))
+    assert set(res.images.values()) == {Perm.transposition(2, 0, 1)}
 
 
 def test_hom_search_rejects_a_negative_degree():
@@ -341,9 +388,9 @@ def test_minimal_extension_judges_new_generators_in_the_class_of_s1(monkeypatch)
     calls = []
     real = braids._check_both_ways
 
-    def recording(images, inverses, letters, degree):
-        calls.append(dict(images))
-        return real(images, inverses, letters, degree)
+    def recording(columns, letters, degree):
+        calls.append(_named(columns))
+        return real(columns, letters, degree)
 
     monkeypatch.setattr(braids, "_check_both_ways", recording)
     rho0 = PermRep(4, {"s1": Perm((0, 2, 3, 1)), "s2": Perm((1, 3, 2, 0))})

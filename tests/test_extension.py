@@ -187,22 +187,33 @@ def test_two_sheet_uniqueness_matches_brute_force():
         assert two_sheet_unique(k) == (_two_sheet_survivors_by_brute_force(k) == 1)
 
 
+def _uniqueness_payload(k):
+    """A two-sheet extension scenario that also checks uniqueness up to k generators."""
+    return {
+        "kind": "extension",
+        "rho0": {"degree": 2, "images": {"alpha1": [1, 0], "alpha2": [1, 0]}},
+        "inclusion": {
+            "images": {"alpha1": "gamma", "alpha2": "gamma^-1"},
+            "target": {"generators": ["gamma"], "relators": []},
+        },
+        "check_two_sheet_uniqueness_up_to": k,
+    }
+
+
 def test_two_sheet_uniqueness_to_64_generators_within_budget():
     t0 = perf_counter()
-    report = run_payload(
-        {
-            "kind": "extension",
-            "rho0": {"degree": 2, "images": {"alpha1": [1, 0], "alpha2": [1, 0]}},
-            "inclusion": {
-                "images": {"alpha1": "gamma", "alpha2": "gamma^-1"},
-                "target": {"generators": ["gamma"], "relators": []},
-            },
-            "check_two_sheet_uniqueness_up_to": 64,
-        }
-    )
+    report = run_payload(_uniqueness_payload(64))
     dt = perf_counter() - t0
     assert report.results["two_sheet_unique_up_to"] == {"k_max": 64, "all_unique": True}
     assert dt < 1.0, f"two-sheet uniqueness up to 64 generators took {dt:.2f}s"
+
+
+def test_two_sheet_uniqueness_to_100000_generators_within_budget():
+    t0 = perf_counter()
+    report = run_payload(_uniqueness_payload(100000))
+    dt = perf_counter() - t0
+    assert report.results["two_sheet_unique_up_to"] == {"k_max": 100000, "all_unique": True}
+    assert dt < 1.0, f"two-sheet uniqueness up to 100000 generators took {dt:.2f}s"
 
 
 def test_two_sheet_uniqueness_range():
