@@ -151,21 +151,30 @@ def _assignments(
     if not all(_check_both_ways(columns, r, degree) for r in on_fixed):
         return
     order = [*fixed, *slot_of]
-
-    def extend(i: int) -> Iterator[dict[int, tuple[int, ...]]]:
-        if i == len(slots):
-            yield {g: columns[2 * g] for g in order}
-            return
-        g, candidates = slots[i]
-        c = 2 * g
-        for img in candidates:
+    # Depth first on an explicit stack of candidate iterators, one per slot
+    # being tried.  A recursive closure would hold itself through its cell, a
+    # cycle that keeps ``columns`` and the filed relators alive until the
+    # cyclic collector runs.
+    if not slots:
+        yield {g: columns[2 * g] for g in order}
+        return
+    stack = [iter(slots[0][1])]
+    while stack:
+        i = len(stack) - 1
+        c = 2 * slots[i][0]
+        for img in stack[i]:
             columns[c] = img
             columns[c + 1] = inverse_images(img)
             if all(_check_both_ways(columns, r, degree) for r in due[i]):
-                yield from extend(i + 1)
-        del columns[c], columns[c + 1]
-
-    yield from extend(0)
+                if i + 1 == len(slots):
+                    yield {g: columns[2 * g] for g in order}
+                else:
+                    stack.append(iter(slots[i + 1][1]))
+                    break
+        else:
+            stack.pop()
+            columns.pop(c, None)
+            columns.pop(c + 1, None)
 
 
 def _generator_index(name: str, m: int) -> int | None:

@@ -11,13 +11,17 @@ diagonal; the reported Levi matrix is scaled by 2 so the w1 block is exactly
 2*kappa*alpha^2*S^(alpha-1) (radial direction) and 2*kappa*alpha*S^(alpha-1)
 with S = ||w2||^2 and kappa = 1 - r^2/4; all positive away from w2 = 0.
 
-Every closed-form Levi matrix is cross-checked against a finite-difference
-complex Hessian, evaluated at all 8n^2 + 1 stencil points in one batched call,
-before being returned.
+Levi forms are evaluated a batch of points at a time, in one stacked pass:
+the closed-form matrices as one (P, n, n) stack, the finite-difference
+complex Hessians that cross-check them from one call of the defining function
+on all P * (8n^2 + 1) stencil points, and the spectra from one stacked
+``eigvalsh``.  A single point is a batch of one.  Levi matrices are built
+only up to ``MAX_DIM`` coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,13 +32,24 @@ from .errors import NotSmooth, NumericFailure
 FD_STEP = 1e-4  # step of the finite-difference Hessian that cross-checks each Levi matrix
 FD_REL_TOL = 1e-5  # its allowed deviation, relative to 1 + the largest Levi entry
 ZERO_TOL = 1e-8  # eigenvalues this small relative to 1 + the largest count as zero
+MAX_DIM = 64  # largest n a Levi matrix is built for; one point's stencil is then about 33 MB
+
+
+def _check_q(n: int, q: int) -> None:
+    if not 1 <= q < n:
+        raise ValueError(f"need 1 <= q < n, got q={q}, n={n}")
+
+
+def _check_levi_shape(n: int, q: int) -> None:
+    """The split check plus the ``MAX_DIM`` limit on Levi matrices."""
+    _check_q(n, q)
+    if n > MAX_DIM:
+        raise ValueError(f"n={n} exceeds MAX_DIM={MAX_DIM}, the largest dimension of a Levi matrix")
 
 
 def _point(w: Sequence[complex], q: int) -> np.ndarray:
     ws = np.asarray(list(w), dtype=complex)
-    n = ws.size
-    if not 1 <= q < n:
-        raise ValueError(f"need 1 <= q < n, got q={q}, n={n}")
+    _check_q(ws.size, q)
     return ws
 
 
@@ -51,11 +66,14 @@ def _validate(alpha: float, r: float) -> None:
 
 
 def _rho_rows(pts: np.ndarray, q: int, alpha: float, r: float) -> np.ndarray:
-    """rho_alpha at every row of an (m, n) complex array; arguments unchecked."""
-    n1 = pts.shape[1] - q
+    """rho_alpha at every point of a (..., n) complex array; arguments unchecked."""
+    n1 = pts.shape[-1] - q
     kappa = 1.0 - r * r / 4.0
-    s = np.sum(np.abs(pts[:, n1:]) ** 2, axis=1)
-    return -np.sum(np.abs(pts[:, :n1]) ** 2, axis=1) + r * r / 4.0 + kappa * s**alpha
+    blocks = np.zeros((pts.shape[-1], 2))
+    blocks[:n1, 0] = blocks[n1:, 1] = 1.0
+    # both squared block norms in one matrix product, far faster than two short sums
+    norms = (pts.real**2 + pts.imag**2) @ blocks
+    return -norms[..., 0] + r * r / 4.0 + kappa * norms[..., 1] ** alpha
 
 
 def rho_alpha(w: Sequence[complex], q: int, alpha: float, r: float) -> float:
@@ -64,36 +82,63 @@ def rho_alpha(w: Sequence[complex], q: int, alpha: float, r: float) -> float:
     return float(_rho_rows(_point(w, q)[None, :], q, alpha, r)[0])
 
 
+@functools.lru_cache(maxsize=16)
+def _stencil(n: int, h: float) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The 8n^2 + 1 stencil points as steps from the centre, and where each
+    real Hessian block finds its entries among the second differences.
+
+    Rows: the centre, +h e_u, -h e_u, then h e_u + h e_v, h e_u - h e_v,
+    -h e_u + h e_v and -h e_u - h e_v over the pairs u < v of the 2n real
+    coordinates (x_0 .. x_{n-1}, then y_0 .. y_{n-1}).  Row k moves complex
+    coordinate ``cols[i, k]`` by ``steps[i, k]`` for i = 0, 1 (a zero step
+    pads the rows that move one coordinate or none), so the cache stays
+    O(n^2) where the dense offsets would take O(n^3).  The second differences
+    are the 2n plain ones, then the mixed ones in pair order; the (n, n)
+    index arrays pick the xx, yy, xy and yx blocks from them.
+    """
+    m = 2 * n
+    iu, iv = np.triu_indices(m, k=1)
+    col = np.arange(m) % n
+    step = h * np.where(np.arange(m) < n, 1.0, 1j)
+    pad = np.zeros(m)
+    cols = np.array([np.concatenate([[0], col, col, *[col[iu]] * 4]),
+                     np.concatenate([[0], col, col, *[col[iv]] * 4])])
+    steps = np.array([
+        np.concatenate([[0], step, -step, step[iu], step[iu], -step[iu], -step[iu]]),
+        np.concatenate([[0], pad, pad, step[iv], -step[iv], step[iv], -step[iv]]),
+    ])
+    at = np.diag(np.arange(m))
+    at[iu, iv] = at[iv, iu] = m + np.arange(iu.size)
+    blocks = (at[:n, :n], at[n:, n:], at[:n, n:], at[n:, :n])
+    for a in (cols, steps, *blocks):
+        a.setflags(write=False)
+    return cols, steps, blocks
+
+
 def _fd_complex_hessian(
     f_rows: Callable[[np.ndarray], np.ndarray], w: np.ndarray, h: float
 ) -> np.ndarray:
     """Complex Hessian d^2 f / dw_j dwbar_k from real central differences.
 
-    ``f_rows`` evaluates f at every row of an (m, n) array.  All 8n^2 + 1
-    stencil points -- the centre, w +- h e_u and w +- h e_u +- h e_v for
-    u < v over the 2n real coordinates -- go to it in one batched call.
+    ``w`` is one point (n,) or a stack (..., n); the result is (..., n, n).
+    ``f_rows`` evaluates f at every point of a (..., m, n) array, and gets
+    all 8n^2 + 1 stencil points of every point of ``w`` in one call.
     """
-    n = w.size
+    n = w.shape[-1]
     m = 2 * n
-    # row u steps along real coordinate u: x_0 .. x_{n-1}, then y_0 .. y_{n-1}
-    steps = h * np.concatenate([np.eye(n), 1j * np.eye(n)])
-    iu, iv = np.triu_indices(m, k=1)
-    du, dv = steps[iu], steps[iv]
-    vals = f_rows(
-        np.concatenate(
-            [w[None, :], w + steps, w - steps, w + du + dv, w + du - dv, w - du + dv, w - du - dv]
-        )
+    cols, steps, (xx, yy, xy, yx) = _stencil(n, h)
+    rows = np.arange(cols.shape[1])
+    pts = np.repeat(w[..., None, :], rows.size, axis=-2)
+    for c, step in zip(cols, steps):
+        pts[..., rows, c] += step
+    vals = f_rows(pts)
+    centre, plus, minus = vals[..., :1], vals[..., 1 : 1 + m], vals[..., 1 + m : 1 + 2 * m]
+    mixed = vals[..., 1 + 2 * m :].reshape(vals.shape[:-1] + (4, m * (m - 1) // 2))
+    pp, pm, mp, mm = np.moveaxis(mixed, -2, 0)
+    second = np.concatenate(
+        [(plus - 2.0 * centre + minus) / (h * h), (pp - pm - mp + mm) / (4.0 * h * h)], axis=-1
     )
-    centre, plus, minus = vals[0], vals[1 : 1 + m], vals[1 + m : 1 + 2 * m]
-    pp, pm, mp, mm = vals[1 + 2 * m :].reshape(4, -1)
-
-    real = np.empty((m, m))
-    real[iu, iv] = (pp - pm - mp + mm) / (4.0 * h * h)
-    real[iv, iu] = real[iu, iv]
-    # plain second difference in one real coordinate
-    real[np.diag_indices(m)] = (plus - 2.0 * centre + minus) / (h * h)
-    xx, xy, yx, yy = real[:n, :n], real[:n, n:], real[n:, :n], real[n:, n:]
-    return 0.25 * ((xx + yy) + 1j * (xy - yx))
+    return 0.25 * ((second[..., xx] + second[..., yy]) + 1j * (second[..., xy] - second[..., yx]))
 
 
 @dataclass(frozen=True)
@@ -105,62 +150,100 @@ class LeviData:
     signature: tuple[int, int, int]  # (positive, negative, zero)
 
 
+def _levi_matrices(
+    points: np.ndarray, q: int, alpha: float, r: float
+) -> tuple[np.ndarray, NotSmooth | None]:
+    """Closed-form Levi matrices of the rows of a (P, n) complex array.
+
+    Returns a (P', n, n) stack and None, with P' = P; or, when the row at
+    index P' is a point where rho is not twice differentiable, the stack of
+    the rows before it and that row's :class:`NotSmooth`, which the caller
+    raises once it has judged those rows.  The scalars S^(alpha-1) and
+    S^(alpha-2) are Python float powers taken one row at a time; the outer
+    products and the sums are stacked.
+    """
+    _validate(alpha, r)
+    count, n = points.shape
+    _check_levi_shape(n, q)
+    n1 = n - q
+    kappa = 1.0 - r * r / 4.0
+    w2 = points[:, n1:]
+    radial, cross = np.zeros(count), np.zeros(count)
+    flat: list[int] = []  # rows with w2 = 0 at an integer alpha
+    failure = None
+    for i, s in enumerate(np.sum(np.abs(w2) ** 2, axis=1).tolist()):
+        if s == 0.0:
+            if abs(alpha - round(alpha)) > 0:
+                failure = NotSmooth(
+                    f"rho with alpha={alpha} is not twice differentiable where the "
+                    f"second block vanishes"
+                )
+                count = i
+                break
+            flat.append(i)
+        else:
+            radial[i] = alpha * s ** (alpha - 1)
+            cross[i] = alpha * (alpha - 1) * s ** (alpha - 2)
+    w2, radial, cross = w2[:count], radial[:count, None, None], cross[:count, None, None]
+    block = radial * np.eye(q) + cross * (np.conj(w2)[:, :, None] @ w2[:, None, :])
+    mats = np.zeros((count, n, n), dtype=complex)
+    mats[:, :n1, :n1] = -2.0 * np.eye(n1)
+    mats[:, n1:, n1:] = 2.0 * kappa * block
+    if flat:  # w2 = 0: alpha = 1 keeps a constant block, an integer alpha >= 2 a zero one
+        mats[flat, n1:, n1:] = 2.0 * kappa * np.eye(q) if round(alpha) == 1 else 0.0
+    return mats, failure
+
+
 def levi_matrix(w: Sequence[complex], q: int, alpha: float, r: float) -> np.ndarray:
     """Closed-form Levi matrix of rho_alpha at a point (block diagonal)."""
-    _validate(alpha, r)
-    w1, w2 = _split(w, q)
-    n1 = w1.size
-    n = n1 + w2.size
-    kappa = 1.0 - r * r / 4.0
-    s = float(np.sum(np.abs(w2) ** 2))
-    mat = np.zeros((n, n), dtype=complex)
-    mat[:n1, :n1] = -2.0 * np.eye(n1)
-    if s == 0.0:
-        if abs(alpha - round(alpha)) > 0:
-            raise NotSmooth(
-                f"rho with alpha={alpha} is not twice differentiable where the "
-                f"second block vanishes"
-            )
-        if round(alpha) == 1:
-            mat[n1:, n1:] = 2.0 * kappa * np.eye(n - n1)
-        # integer alpha >= 2: the block is identically zero at this point
-        return mat
-    v = np.conj(w2).reshape(-1, 1)
-    block = alpha * s ** (alpha - 1) * np.eye(n - n1)
-    block = block + alpha * (alpha - 1) * s ** (alpha - 2) * (v @ v.conj().T)
-    mat[n1:, n1:] = 2.0 * kappa * block
-    return mat
+    mats, failure = _levi_matrices(np.asarray(list(w), dtype=complex)[None, :], q, alpha, r)
+    if failure is not None:
+        raise failure
+    return mats[0]
+
+
+def _levi_batch(points: np.ndarray, q: int, alpha: float, r: float) -> tuple[LeviData, ...]:
+    """Levi matrices, eigenvalues and inertia of the rows of a (P, n) array.
+
+    Each closed-form matrix is compared entrywise against a finite-difference
+    complex Hessian (scaled by the same factor 2) with step ``FD_STEP``;
+    disagreement beyond ``FD_REL_TOL * (1 + max entry)`` raises
+    :class:`NumericFailure` naming the worst entry.  The first failing row
+    in order decides the error; a row's :class:`NotSmooth` comes before its
+    finite-difference check.
+    """
+    mats, failure = _levi_matrices(points, q, alpha, r)
+    count, n = len(mats), points.shape[1]
+    fd = 2.0 * _fd_complex_hessian(lambda pts: _rho_rows(pts, q, alpha, r), points[:count], FD_STEP)
+    entries = mats.reshape(count, n * n)
+    allowed = FD_REL_TOL * (1.0 + np.abs(entries).max(axis=1))
+    dev = np.abs(fd.reshape(count, n * n) - entries)
+    worst = dev.argmax(axis=1)
+    err = dev[np.arange(count), worst]
+    bad = np.flatnonzero(~(err <= allowed))  # a NaN deviation fails too
+    if bad.size:
+        i = int(bad[0])
+        j, k = divmod(int(worst[i]), n)
+        raise NumericFailure(
+            f"closed-form Levi matrix deviates from finite differences by {err[i]:.3e} "
+            f"at entry ({j}, {k}) (allowed {allowed[i]:.3e})"
+        )
+    if failure is not None:
+        raise failure
+
+    eigs = np.linalg.eigvalsh(mats)
+    tol = ZERO_TOL * (1.0 + np.abs(eigs).max(axis=1))[:, None]
+    pos, neg = (eigs > tol).sum(axis=1).tolist(), (eigs < -tol).sum(axis=1).tolist()
+    return tuple(
+        LeviData(mat, tuple(row), (p, g, n - p - g))
+        for mat, row, p, g in zip(mats, eigs.tolist(), pos, neg)
+    )
 
 
 def levi_signature(w: Sequence[complex], q: int, alpha: float, r: float) -> LeviData:
-    """Levi matrix, eigenvalues and inertia, cross-checked by differencing.
-
-    The closed form is compared entrywise against a finite-difference complex
-    Hessian (scaled by the same factor 2) with step ``FD_STEP``, whose
-    8n^2 + 1 stencil points are evaluated in one batched call; disagreement
-    beyond ``FD_REL_TOL * (1 + max entry)`` raises :class:`NumericFailure`
-    naming the worst entry.
-    """
-    ws = np.asarray(list(w), dtype=complex)
-    mat = levi_matrix(ws, q, alpha, r)
-
-    fd = 2.0 * _fd_complex_hessian(lambda pts: _rho_rows(pts, q, alpha, r), ws, FD_STEP)
-    scale = 1.0 + float(np.abs(mat).max())
-    dev = np.abs(fd - mat)
-    j, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    err = float(dev[j, k])
-    if not err <= FD_REL_TOL * scale:  # a NaN deviation fails too
-        raise NumericFailure(
-            f"closed-form Levi matrix deviates from finite differences by {err:.3e} "
-            f"at entry ({j}, {k}) (allowed {FD_REL_TOL * scale:.3e})"
-        )
-
-    eigs = np.linalg.eigvalsh(mat)
-    tol = ZERO_TOL * (1.0 + float(np.abs(eigs).max()))
-    pos = int(np.sum(eigs > tol))
-    neg = int(np.sum(eigs < -tol))
-    zero = eigs.size - pos - neg
-    return LeviData(mat, tuple(float(e) for e in eigs), (pos, neg, zero))
+    """Levi matrix, eigenvalues and inertia at one point, cross-checked by
+    differencing: :func:`_levi_batch` on a batch of one."""
+    return _levi_batch(np.asarray(list(w), dtype=complex)[None, :], q, alpha, r)[0]
 
 
 def in_hartogs_figure(w: Sequence[complex], q: int, r: float) -> bool:

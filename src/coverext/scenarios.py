@@ -34,7 +34,7 @@ from .cosets import CosetTable, Presentation
 from .cpoly import BivarPoly
 from .errors import CapExceeded, SchemaError, SurjectivityError
 from .extension import Inclusion, two_sheet_unique, weak_extend
-from .hartogs import levi_signature
+from .hartogs import _check_levi_shape, _levi_batch
 from .monodromy import CoverSlice, full_monodromy, separates_fiber, weierstrass_poly_of_function
 from .perms import Perm, format_cycles
 from .reps import PermRep
@@ -46,6 +46,13 @@ VERDICT_NOT_CLAIMED = "NOT-CLAIMED"
 
 # Read by run_payload itself; a runner sees only the remaining body.
 _ENVELOPE = ("kind", "name", "description", "claims")
+
+# Largest stencil, in complex entries P * (8n^2 + 1) * n, that a hartogs-check
+# case evaluates in one batch of P points (128 KiB); a case of any count draws
+# and judges its points in chunks of at most this size, and of at least one
+# point.  Chunks twice as large saved about 5% of the `paper` benchmark's wall
+# time and cost about 0.5 MB more of its peak RSS.
+LEVI_CHUNK_ENTRIES = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +428,10 @@ def _as_case(v: Any, path: str) -> dict:
         "count": _field(c, "count", path, _as_positive_int),
         "seed": _field(c, "seed", path, _as_int),
     }
-    if not 1 <= case["q"] < case["n"]:
-        raise _ctx(path, f"need 1 <= q < n, got q={case['q']}, n={case['n']}")
+    try:
+        _check_levi_shape(case["n"], case["q"])
+    except ValueError as exc:
+        raise _ctx(path, str(exc)) from exc
     return case
 
 
@@ -438,16 +447,19 @@ def _run_hartogs_check(body: dict) -> _Outcome:
         rng = np.random.default_rng(case["seed"])
         sig_counts: dict[str, int] = {}
         case_dev = 0.0
-        for _ in range(case["count"]):
-            radii = rng.uniform(0.25, 0.7, size=n)
-            angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
-            w = radii * np.exp(1j * angles)
-            data = levi_signature(w, q, case["alpha"], r)
-            key = ",".join(str(x) for x in data.signature)
-            sig_counts[key] = sig_counts.get(key, 0) + 1
-            for e in data.eigenvalues:
-                if e < 0:
-                    case_dev = max(case_dev, abs(e + 2.0))
+        chunk = max(1, LEVI_CHUNK_ENTRIES // ((8 * n * n + 1) * n))
+        for start in range(0, case["count"], chunk):
+            points = []
+            for _ in range(min(chunk, case["count"] - start)):
+                radii = rng.uniform(0.25, 0.7, size=n)
+                angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+                points.append(radii * np.exp(1j * angles))
+            for data in _levi_batch(np.array(points), q, case["alpha"], r):
+                key = ",".join(str(x) for x in data.signature)
+                sig_counts[key] = sig_counts.get(key, 0) + 1
+                for e in data.eigenvalues:
+                    if e < 0:
+                        case_dev = max(case_dev, abs(e + 2.0))
         expected = f"{q},{n - q},0"
         case_ok = set(sig_counts) == {expected}
         all_expected = all_expected and case_ok

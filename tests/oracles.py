@@ -373,6 +373,38 @@ def fd_complex_hessian_loop(f, w: np.ndarray, h: float) -> np.ndarray:
     return hess
 
 
+def levi_matrix_one_point(w: np.ndarray, q: int, alpha: float, r: float) -> np.ndarray:
+    """Closed-form Levi matrix of rho_alpha at one point, one block at a time
+    (the reference for the stacked closed form); None where the w2 block
+    vanishes at a non-integer alpha."""
+    n1 = w.size - q
+    kappa = 1.0 - r * r / 4.0
+    w2 = w[n1:]
+    s = float(np.sum(np.abs(w2) ** 2))
+    mat = np.zeros((w.size, w.size), dtype=complex)
+    mat[:n1, :n1] = -2.0 * np.eye(n1)
+    if s == 0.0:
+        if abs(alpha - round(alpha)) > 0:
+            return None
+        if round(alpha) == 1:
+            mat[n1:, n1:] = 2.0 * kappa * np.eye(q)
+        return mat
+    v = np.conj(w2).reshape(-1, 1)
+    block = alpha * s ** (alpha - 1) * np.eye(q)
+    block = block + alpha * (alpha - 1) * s ** (alpha - 2) * (v @ v.conj().T)
+    mat[n1:, n1:] = 2.0 * kappa * block
+    return mat
+
+
+def levi_eigenvalues_one_point(mat: np.ndarray) -> tuple[tuple[float, ...], tuple[int, int, int]]:
+    """Spectrum of one Levi matrix and its inertia (positive, negative, zero)."""
+    eigs = np.linalg.eigvalsh(mat)
+    tol = 1e-8 * (1.0 + float(np.abs(eigs).max()))
+    pos = int(np.sum(eigs > tol))
+    neg = int(np.sum(eigs < -tol))
+    return tuple(float(e) for e in eigs), (pos, neg, eigs.size - pos - neg)
+
+
 def generic_cover_rows(seed: int) -> list[list[complex]]:
     """Raw ``w_coeffs`` of the generic-cover corpus (seeds 100-159): degree
     d = 3 + seed % 6 in w, each c_k(z) of z-degree 1 or 2 with complex normal

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 from time import perf_counter
 
@@ -412,3 +413,23 @@ def test_minimal_extension_refuses_to_list_a_huge_symmetric_group(monkeypatch):
     with pytest.raises(CapExceeded, match="degree 11"):
         minimal_extension_degree(cycle, 3, cap_degree=12)
     assert perf_counter() - t0 < 1.0
+
+
+def test_searches_leave_no_reference_cycles():
+    """The depth-first search frees its filed relators and columns by
+    reference count, also when the caller stops at the first hit, so no later
+    call pays for collecting them."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert minimal_extension_degree(standard_rep(2), 400).degree == 2
+        after_extension = gc.collect()
+        everything = list(itertools.permutations(range(3)))
+        search = braids._assignments(3, braids._braid_relators(5), {}, [(g, everything) for g in range(4)])
+        next(search)
+        del search
+        after_early_stop = gc.collect()
+    finally:
+        gc.enable()
+    assert after_extension < 1000
+    assert after_early_stop < 1000

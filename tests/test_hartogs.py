@@ -7,13 +7,14 @@ from coverext import hartogs
 from coverext.errors import NotSmooth, NumericFailure
 from coverext.hartogs import (
     _fd_complex_hessian,
+    _levi_batch,
     _rho_rows,
     in_hartogs_figure,
     levi_matrix,
     levi_signature,
     rho_alpha,
 )
-from oracles import fd_complex_hessian_loop
+from oracles import fd_complex_hessian_loop, levi_eigenvalues_one_point, levi_matrix_one_point
 
 
 def random_point(rng, n, low=0.05, high=0.95):
@@ -110,6 +111,57 @@ def test_batched_stencil_matches_loop_reference_and_closed_form():
         w[: n - q] = random_point(rng, n - q)
         for alpha in (1.0, 2.0, 3.0):
             _check_batched_stencil(w, q, alpha)
+
+
+def test_stacked_levi_forms_equal_the_one_point_reference_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for n in range(2, 9):
+        for q in range(1, n):
+            for alpha in (0.3, 1.0, 2.0, 3.0, 3.5):
+                r = float(rng.uniform(0.1, 0.9))
+                points = np.array([random_point(rng, n) for _ in range(int(rng.integers(1, 6)))])
+                if alpha in (1.0, 2.0, 3.0):
+                    points[rng.integers(0, len(points)), n - q :] = 0.0
+                batch = _levi_batch(points, q, alpha, r)
+                assert len(batch) == len(points)
+                for w, data in zip(points, batch):
+                    want = levi_matrix_one_point(w, q, alpha, r)
+                    assert data.matrix.tobytes() == want.tobytes()
+                    assert (data.eigenvalues, data.signature) == levi_eigenvalues_one_point(want)
+                    one = levi_signature(w, q, alpha, r)
+                    assert one.matrix.tobytes() == want.tobytes()
+                    assert (one.eigenvalues, one.signature) == (data.eigenvalues, data.signature)
+                    assert levi_matrix(w, q, alpha, r).tobytes() == want.tobytes()
+
+
+def test_the_first_failing_point_in_order_decides_the_error():
+    rng = np.random.default_rng(43)
+    points = np.array([random_point(rng, 3) for _ in range(5)])
+    points[2, 1:] = 0.0  # not twice differentiable at alpha = 3.5
+    points[4, 1:] = 1e3  # far outside the domain: differencing loses every digit
+    with pytest.raises(NotSmooth):
+        _levi_batch(points, 2, 3.5, 0.5)
+    with pytest.raises(NumericFailure) as alone:
+        levi_signature(points[4], 2, 3.5, 0.5)
+    with pytest.raises(NumericFailure) as batched:
+        _levi_batch(np.delete(points, 2, axis=0), 2, 3.5, 0.5)
+    assert str(batched.value) == str(alone.value)
+    # a point's finite-difference failure comes before a later point's NotSmooth
+    with pytest.raises(NumericFailure) as swapped:
+        _levi_batch(points[[0, 4, 2]], 2, 3.5, 0.5)
+    assert str(swapped.value) == str(alone.value)
+
+
+def test_levi_dimension_is_capped():
+    assert hartogs.MAX_DIM == 64
+    w = [0.3] * (hartogs.MAX_DIM + 1)
+    for levi in (levi_signature, levi_matrix):
+        with pytest.raises(ValueError, match=r"n=65 exceeds MAX_DIM=64"):
+            levi(w, 2, 2.0, 0.5)
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        _levi_batch(np.zeros((1, 10**6), dtype=complex), 2, 2.0, 0.5)
+    # the cap only bounds the Levi matrix: the weight itself is fine
+    assert np.isfinite(rho_alpha([0.1] * 1000, 2, 2.0, 0.5))
 
 
 def test_signature_random_parameters():

@@ -9,6 +9,7 @@ from time import perf_counter
 
 import pytest
 
+from coverext import scenarios
 from coverext.errors import CapExceeded, DegenerateCover, NotSmooth, NumericFailure, SchemaError
 from coverext.monodromy import MonodromyResult
 from coverext.scenarios import (
@@ -428,4 +429,40 @@ def test_braid_search_with_no_free_generator_skips_the_factorial():
     report = run_payload({"kind": "braid-search", "mode": "homs", "strands": 2, "degree": 5000, "pinned": pinned})
     assert report.results["search_space"] == 1
     assert [sol["s1"]["images"] for sol in report.results["solutions"]] == [pinned["s1"]]
+    assert perf_counter() - t0 < 1.0
+
+
+def _sweep_case(**case):
+    return {"kind": "hartogs-check", "r": 0.5, "cases": [{"q": 2, "alpha": 3.5, "seed": 5, **case}]}
+
+
+def test_hartogs_chunks_give_the_report_of_single_points(monkeypatch):
+    n = 5
+    chunk = scenarios.LEVI_CHUNK_ENTRIES // ((8 * n * n + 1) * n)
+    payload = _sweep_case(n=n, count=2 * chunk + 3)
+    chunked = run_payload(payload).to_json()
+    monkeypatch.setattr(scenarios, "LEVI_CHUNK_ENTRIES", 1)  # one point per batch
+    assert run_payload(payload).to_json() == chunked
+
+
+def test_hartogs_sweep_makes_one_levi_call_per_chunk(monkeypatch):
+    sizes = []
+    batch = scenarios._levi_batch
+
+    def counting(points, *args):
+        sizes.append(len(points))
+        return batch(points, *args)
+
+    monkeypatch.setattr(scenarios, "_levi_batch", counting)
+    report = run_bundled("hartogs_signature_sweep")
+    # 40 points at each of n = 3, 4, 5: chunks of at most 37, 15 and 8 points
+    assert sizes == [37, 3, 15, 15, 10, 8, 8, 8, 8, 8]
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))["hartogs_signature_sweep"]
+    assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == recorded["sha256"]
+
+
+def test_hartogs_dimension_over_the_levi_cap_is_a_schema_error():
+    t0 = perf_counter()
+    with pytest.raises(SchemaError, match=r"at scenario\.cases\[0\]: n=1000000 exceeds MAX_DIM=64"):
+        run_payload(_sweep_case(n=10**6, count=1))
     assert perf_counter() - t0 < 1.0
