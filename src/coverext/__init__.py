@@ -4,7 +4,6 @@ forms of Hartogs-type defining functions, driven by JSON scenarios."""
 
 from .braids import (
     MinimalExtensionResult,
-    braid_inclusion,
     braid_presentation,
     hom_search,
     minimal_extension_degree,
@@ -26,12 +25,11 @@ from .extension import (
     Inclusion,
     MaximalityVerdict,
     abelianized_surjective,
-    lift_is_closed,
     maximality_check,
     two_sheet_unique,
     weak_extend,
 )
-from .hartogs import LeviData, in_hartogs_figure, levi_matrix, levi_signature, rho_alpha
+from .hartogs import LeviData, levi_matrix, levi_signature, rho_alpha
 from .monodromy import (
     CoverSlice,
     MonodromyResult,
@@ -75,7 +73,6 @@ __all__ = [
     "Word",
     "abelianized_surjective",
     "auto_basepoint",
-    "braid_inclusion",
     "braid_presentation",
     "branch_points",
     "discriminant",
@@ -85,10 +82,8 @@ __all__ = [
     "generate",
     "generated_order",
     "hom_search",
-    "in_hartogs_figure",
     "levi_matrix",
     "levi_signature",
-    "lift_is_closed",
     "maximality_check",
     "minimal_extension_degree",
     "parse_word",

@@ -34,7 +34,6 @@ from typing import Iterator, Mapping, Sequence
 
 from .cosets import Presentation
 from .errors import CapExceeded
-from .extension import Inclusion
 from .perms import Perm, cycle_type_of, inverse_images
 from .reps import PermRep, _breadth_first, _column_of, _columns, _image_columns, _spell
 from .words import Word
@@ -68,14 +67,6 @@ def braid_presentation(m: int) -> Presentation:
 def standard_rep(m: int) -> PermRep:
     """The permutation action on strand endpoints: s_i acts as (i-1, i)."""
     return PermRep(m, {f"s{i}": Perm.transposition(m, i - 1, i) for i in range(1, m)})
-
-
-def braid_inclusion(m_small: int, m_big: int) -> Inclusion:
-    """The strand-adding inclusion: s_i goes to s_i."""
-    if not 1 <= m_small <= m_big:
-        raise ValueError("need 1 <= m_small <= m_big")
-    small = braid_generator_names(m_small)
-    return Inclusion(small, {g: Word.gen(g) for g in small}, braid_presentation(m_big))
 
 
 def _fixes_every_point(columns: Mapping[int, tuple[int, ...]], letters: Sequence[int], degree: int) -> bool:

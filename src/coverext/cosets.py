@@ -8,8 +8,10 @@ Two complementary routes between subgroups and permutation actions:
 * ``todd_coxeter`` enumerates cosets of a finitely generated subgroup of a
   finitely presented group and returns the coset table together with the
   induced permutation action: HLT with lookahead, in one sweep (Holt, Eick &
-  O'Brien, *Handbook of Computational Group Theory*, 2005, §5.1).
-  Deterministic; bounded by a live-coset cap.
+  O'Brien, *Handbook of Computational Group Theory*, 2005, §5.1).  An
+  involution, a generator with a relator ``g^2``, gets one column that is
+  its own inverse, as in ACE and GAP, and the finished table is renumbered
+  to standard form (ibid., ch. 5).  Deterministic; bounded by a live-coset cap.
 
 Both run on the integer columns that ``reps`` owns, numbered as the coset
 table numbers them: column ``2i`` is generator ``i`` and ``2i + 1`` its
@@ -18,7 +20,9 @@ compiles its words to columns once; ``pushed_coset_table`` pushes a
 stabilizer through a homomorphism given by word images and enumerates its
 cosets without building any word.  Words are spelled only when a caller
 reads them: ``StabilizerData.transversal`` and ``.generators`` and
-``CosetTable.rep_words`` are built on first access and cached.
+``CosetTable.rep_words`` are built on first access and cached.  A table's
+representative words are the paths of the breadth-first tree that numbered
+it, so they too depend only on the subgroup and the generator order.
 
 Cosets are right cosets, numbered from 0 (the subgroup itself), and the
 action is on the right: ``table.act(c, w)`` is the coset of ``rep(c) * w``.
@@ -26,7 +30,7 @@ action is on the right: ``table.act(c, w)`` is the coset of ``rep(c) * w``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -155,17 +159,18 @@ def schreier_generators(
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Completed coset table; coset 0 is the subgroup.
+    """Completed coset table in standard form; coset 0 is the subgroup.
 
-    ``definitions[c]`` is coset ``c``'s definition record, ``(record of the
-    defining coset, column)`` or ``None`` for coset 0; the defining coset may
-    have merged away since.  ``rep_words`` are spelled from these records on
-    first access.
+    ``rows[c]`` holds two columns per generator, as ``reps`` numbers them
+    (an involution's two are equal).  Standard form: a breadth-first walk
+    from coset 0 that tries the columns in order meets the cosets in the
+    order 0, 1, 2, ... (Holt, Eick & O'Brien, *Handbook of Computational
+    Group Theory*, 2005, ch. 5).  So the numbering depends only on the
+    subgroup and the generator order, not on how the table was enumerated.
     """
 
     gen_names: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
-    definitions: tuple[tuple | None, ...] = field(compare=False, repr=False)
 
     @property
     def index(self) -> int:
@@ -173,17 +178,17 @@ class CosetTable:
 
     @cached_property
     def rep_words(self) -> tuple[Word, ...]:
-        """One representative word per coset: the columns of its definition
-        chain, freely reduced once (free reduction is confluent, so this is
-        the word built letter by letter)."""
-        chains = []
-        for record in self.definitions:
-            cols: list[int] = []
-            while record is not None:
-                record, col = record
-                cols.append(col)
-            chains.append(reversed(cols))
-        return _spell(chains, self.gen_names)
+        """One representative word per coset: the path to it in the tree of
+        the breadth-first walk that numbered the table, spelled on first
+        access.  Tree words are freely reduced, and coset ``c``'s word ends
+        with the column that first reached ``c``."""
+        columns = list(zip(*self.rows))
+        order, came = _breadth_first(self.index, columns, 0)
+        words: list[tuple[int, ...]] = [()] * self.index
+        for t in order[1:]:
+            c: int = came[t]  # type: ignore[assignment]
+            words[t] = words[columns[c ^ 1][t]] + (c,)
+        return _spell(words, self.gen_names)
 
     @cached_property
     def _col_of(self) -> dict[str, int]:
@@ -222,13 +227,20 @@ class _CapHit(Exception):
 
 
 class _Enumerator:
-    """HLT enumeration; live rows point only at live cosets, and
-    ``rows[a][col] == b`` iff ``rows[b][col ^ 1] == a``.
+    """HLT enumeration with lookahead on the enumerator's own columns.
 
-    The subgroup comes as column sequences (``_column_of``); the relators are
-    compiled once here.  Each coset keeps the record of its definition,
-    ``(record of the defining coset, column)``, with ``None`` for the
-    subgroup; the table keeps the records of the cosets alive at the end.
+    A generator ``g`` with a relator ``g^2`` or ``g^-2`` is an involution:
+    its two ``reps`` columns share one column that is its own inverse, so
+    ``g^2`` holds by construction and is dropped.  Every other generator
+    keeps a column and an inverse column.  ``col[c]`` is the column of
+    ``reps`` column ``c`` and ``inv[k]`` the inverse of column ``k``; live
+    rows point only at live cosets, and ``rows[a][k] == b`` iff
+    ``rows[b][inv[k]] == a``.
+
+    The relators and the subgroup's column sequences are compiled once:
+    each is freely reduced with ``g g`` cancelling for an involution ``g``,
+    and kept with its backward columns (the inverse of each letter), which
+    the scan reads from the right.
     """
 
     def __init__(self, pres: Presentation, subgroup: Iterable[Sequence[int]], cap: int) -> None:
@@ -236,14 +248,49 @@ class _Enumerator:
             raise ValueError("cap must be positive")
         self.gen_names = pres.generators
         self.cap = cap
-        self.ncols = 2 * len(pres.generators)
+        col_of = _column_of(pres.generators)
+        relators = [cols for r in pres.relators if (cols := _columns(r, col_of))]
+        involutions = {cols[0] >> 1 for cols in relators if len(cols) == 2 and cols[0] == cols[1]}
+        self.col: list[int] = []
+        self.inv: list[int] = []
+        for i in range(len(pres.generators)):
+            k = len(self.inv)
+            if i in involutions:
+                self.col += [k, k]
+                self.inv.append(k)
+            else:
+                self.col += [k, k + 1]
+                self.inv += [k + 1, k]
+        self.ncols = len(self.inv)
         self.rows: list[list[int | None]] = [[None] * self.ncols]
         self.parent: list[int] = [0]
-        self.defs: list[tuple | None] = [None]
         self.alive = 1
-        col_of = _column_of(pres.generators)
-        self.relator_cols = [cols for r in pres.relators if (cols := _columns(r, col_of))]
-        self.subgroup_cols = [cols for cols in subgroup if cols]
+        self.relators = self._compiled(relators)
+        self.subgroup = self._compiled(subgroup)
+
+    def _compiled(self, words: Iterable[Sequence[int]]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each word's freely reduced columns and backward columns; empty words
+        are dropped.  The words come freely reduced, so only an involution's
+        ``g g`` can newly cancel; without involutions the enumerator's
+        columns are the ``reps`` columns, and the words are taken as they
+        are."""
+        col, inv = self.col, self.inv
+        out = []
+        for word in words:
+            if len(inv) == len(col):
+                cols = tuple(word)
+            else:
+                stack: list[int] = []
+                for c in word:
+                    k = col[c]
+                    if stack and stack[-1] == inv[k]:
+                        stack.pop()
+                    else:
+                        stack.append(k)
+                cols = tuple(stack)
+            if cols:
+                out.append((cols, tuple([inv[k] for k in cols])))
+        return out
 
     def rep(self, c: int) -> int:
         root = c
@@ -253,18 +300,17 @@ class _Enumerator:
             self.parent[c], c = root, self.parent[c]
         return root
 
-    def _define(self, a: int, col: int) -> None:
+    def _define(self, a: int, k: int) -> None:
         if self.alive >= self.cap:
             raise _CapHit
         rows = self.rows
         b = len(rows)
         row: list[int | None] = [None] * self.ncols
-        row[col ^ 1] = a
+        row[self.inv[k]] = a
         rows.append(row)
         self.parent.append(b)
-        self.defs.append((self.defs[a], col))
         self.alive += 1
-        rows[a][col] = b
+        rows[a][k] = b
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
         """Identify the classes of ``a`` and ``b``; the larger representative dies."""
@@ -276,24 +322,25 @@ class _Enumerator:
 
     def _coincide(self, a: int, b: int) -> None:
         """Holt's COINCIDENCE: move each dead coset's entries onto its representative."""
+        rows, inv = self.rows, self.inv
         queue: list[int] = []
         self._merge(a, b, queue)
         for y in queue:  # the queue grows while it is walked
-            for col in range(self.ncols):
-                d = self.rows[y][col]
+            for k in range(self.ncols):
+                d = rows[y][k]
                 if d is None:
                     continue
-                self.rows[d][col ^ 1] = None
+                rows[d][inv[k]] = None
                 mu, nu = self.rep(y), self.rep(d)
-                if self.rows[mu][col] is not None:
-                    self._merge(nu, self.rows[mu][col], queue)  # type: ignore[arg-type]
-                elif self.rows[nu][col ^ 1] is not None:
-                    self._merge(mu, self.rows[nu][col ^ 1], queue)  # type: ignore[arg-type]
+                if rows[mu][k] is not None:
+                    self._merge(nu, rows[mu][k], queue)  # type: ignore[arg-type]
+                elif rows[nu][inv[k]] is not None:
+                    self._merge(mu, rows[nu][inv[k]], queue)  # type: ignore[arg-type]
                 else:
-                    self.rows[mu][col] = nu
-                    self.rows[nu][col ^ 1] = mu
+                    rows[mu][k] = nu
+                    rows[nu][inv[k]] = mu
 
-    def _scan(self, a: int, cols: Sequence[int], fill: bool) -> None:
+    def _scan(self, a: int, cols: Sequence[int], back: Sequence[int], fill: bool) -> None:
         """Scan ``cols`` at live coset ``a``; with ``fill``, define cosets to bridge a gap."""
         rows = self.rows  # only _compact replaces the table, and it never runs inside a scan
         i, j = 0, len(cols) - 1
@@ -306,7 +353,7 @@ class _Enumerator:
                 if f != b:
                     self._coincide(f, b)
                 return
-            while j >= i and (d := rows[b][cols[j] ^ 1]) is not None:
+            while j >= i and (d := rows[b][back[j]]) is not None:
                 b = d
                 j -= 1
             if j < i:
@@ -314,7 +361,7 @@ class _Enumerator:
                 return
             if j == i:
                 rows[f][cols[i]] = b
-                rows[b][cols[i] ^ 1] = f
+                rows[b][back[i]] = f
                 return
             if not fill:
                 return
@@ -324,8 +371,8 @@ class _Enumerator:
         for c in range(len(self.rows)):
             if self.parent[c] != c:
                 continue
-            for cols in self.relator_cols:
-                self._scan(c, cols, fill=False)
+            for cols, back in self.relators:
+                self._scan(c, cols, back, fill=False)
                 if self.parent[c] != c:
                     break
 
@@ -334,10 +381,33 @@ class _Enumerator:
         live = [c for c in range(len(self.rows)) if self.parent[c] == c]
         old2new = {c: i for i, c in enumerate(live)}
         self.rows = [[None if d is None else old2new[d] for d in self.rows[c]] for c in live]
-        self.defs = [self.defs[c] for c in live]
         self.parent = list(range(len(live)))
         self.alive = len(live)
         return old2new
+
+    def _standard(self) -> CosetTable:
+        """The completed table renumbered to standard form, two columns per
+        generator: one breadth-first walk from coset 0 that tries the
+        ``reps`` columns in order numbers each coset when it first meets it,
+        and writes each row once all of its entries are numbered.  The
+        enumerator's columns follow the ``reps`` columns in order, an
+        involution's two being one, so the walk tries them in turn."""
+        rows, col = self.rows, self.col
+        new = [-1] * len(rows)
+        new[0] = 0
+        order = [0]
+        out = []
+        for x in order:  # the order grows while it is walked
+            row = rows[x]
+            for k in range(self.ncols):
+                y: int = row[k]  # type: ignore[assignment]
+                if new[y] < 0:
+                    new[y] = len(order)
+                    order.append(y)
+            out.append(tuple([new[row[k]] for k in col]))  # type: ignore[index]
+        if len(order) != self.alive:
+            raise RuntimeError("internal error: the completed coset table is not transitive")
+        return CosetTable(self.gen_names, tuple(out))
 
     def run(self) -> CosetTable:
         alpha = 0
@@ -346,14 +416,14 @@ class _Enumerator:
                 alpha += 1
                 continue
             try:
-                for cols in self.subgroup_cols if alpha == 0 else ():
-                    self._scan(0, cols, fill=True)
-                for cols in self.relator_cols:
-                    self._scan(self.rep(alpha), cols, fill=True)
+                for cols, back in self.subgroup if alpha == 0 else ():
+                    self._scan(0, cols, back, fill=True)
+                for cols, back in self.relators:
+                    self._scan(self.rep(alpha), cols, back, fill=True)
                 c = self.rep(alpha)
-                for col in range(self.ncols):
-                    if self.rows[c][col] is None:
-                        self._define(c, col)
+                for k in range(self.ncols):
+                    if self.rows[c][k] is None:
+                        self._define(c, k)
             except _CapHit:
                 before = self.alive
                 self._lookahead()
@@ -367,9 +437,7 @@ class _Enumerator:
                     )
                 continue
             alpha += 1
-        self._compact()
-        rows = tuple(tuple(map(int, row)) for row in self.rows)  # type: ignore[arg-type]
-        return CosetTable(self.gen_names, rows, tuple(self.defs))
+        return self._standard()
 
 
 def pushed_coset_table(
@@ -383,8 +451,8 @@ def pushed_coset_table(
     generators, and the coset of each image transversal word.
 
     Each image is compiled to columns once; the Schreier generators are
-    pushed and enumerated as columns, so no word is built.  The table equals
-    ``todd_coxeter(target, pushed generator words)``.
+    pushed and enumerated as columns, so no word is built.  The table is in
+    standard form and equals ``todd_coxeter(target, pushed generator words)``.
     """
     col_of = _column_of(target.generators)
     letter = []
@@ -405,9 +473,15 @@ def todd_coxeter(
     lookahead; the coincidence procedure of Holt, Eick & O'Brien (2005, §5.1)
     keeps the table consistent, so one sweep closes every relator.
 
-    Returns the completed table (coset 0 = subgroup) with one representative
-    word per coset.  Raises :class:`CapExceeded` when more than ``cap`` live
-    cosets are needed even after a lookahead/compaction pass.
+    A generator ``g`` with a relator ``g^2`` or ``g^-2`` is enumerated on one
+    column that is its own inverse: ``g^2`` then holds by construction, and
+    every relator and subgroup word is freely reduced with ``g g`` cancelling.
+
+    Returns the completed table (coset 0 = subgroup) in standard form, two
+    columns per generator, with one representative word per coset taken from
+    the breadth-first tree that numbered it.  Raises :class:`CapExceeded`
+    when more than ``cap`` live cosets are needed even after a
+    lookahead/compaction pass.
     """
     col_of = _column_of(pres.generators)
     return _Enumerator(pres, [_columns(w, col_of) for w in subgroup], cap).run()

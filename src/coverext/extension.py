@@ -239,11 +239,6 @@ def maximality_check(result: ExtensionResult, candidate: PermRep) -> MaximalityV
     return MaximalityVerdict(is_ext, degree_ok, equivalent, quotient, conj)
 
 
-def lift_is_closed(rep: PermRep, word: Word, sheet: int = 0) -> bool:
-    """Whether the lift of a loop starting on ``sheet`` returns to it."""
-    return rep.act_word(word)(sheet) == sheet
-
-
 def two_sheet_unique(k: int) -> bool:
     """Uniqueness of the 2-sheet cover with every loop acting nontrivially.
 

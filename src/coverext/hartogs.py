@@ -22,6 +22,7 @@ only up to ``MAX_DIM`` coordinates.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,14 +54,9 @@ def _point(w: Sequence[complex], q: int) -> np.ndarray:
     return ws
 
 
-def _split(w: Sequence[complex], q: int) -> tuple[np.ndarray, np.ndarray]:
-    ws = _point(w, q)
-    return ws[: ws.size - q], ws[ws.size - q :]
-
-
 def _validate(alpha: float, r: float) -> None:
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if not 0 < r < 1:
         raise ValueError("r must lie strictly between 0 and 1")
 
@@ -152,15 +148,16 @@ class LeviData:
 
 def _levi_matrices(
     points: np.ndarray, q: int, alpha: float, r: float
-) -> tuple[np.ndarray, NotSmooth | None]:
+) -> tuple[np.ndarray, NotSmooth | NumericFailure | None]:
     """Closed-form Levi matrices of the rows of a (P, n) complex array.
 
     Returns a (P', n, n) stack and None, with P' = P; or, when the row at
-    index P' is a point where rho is not twice differentiable, the stack of
-    the rows before it and that row's :class:`NotSmooth`, which the caller
-    raises once it has judged those rows.  The scalars S^(alpha-1) and
-    S^(alpha-2) are Python float powers taken one row at a time; the outer
-    products and the sums are stacked.
+    index P' fails, the stack of the rows before it and that row's error,
+    which the caller raises once it has judged those rows.  A row fails with
+    :class:`NotSmooth` where rho is not twice differentiable, and with
+    :class:`NumericFailure` where S^(alpha-1) or S^(alpha-2) overflows a
+    float.  Those scalars are Python float powers taken one row at a time;
+    the outer products and the sums are stacked.
     """
     _validate(alpha, r)
     count, n = points.shape
@@ -182,8 +179,15 @@ def _levi_matrices(
                 break
             flat.append(i)
         else:
-            radial[i] = alpha * s ** (alpha - 1)
-            cross[i] = alpha * (alpha - 1) * s ** (alpha - 2)
+            try:
+                radial[i] = alpha * s ** (alpha - 1)
+                cross[i] = alpha * (alpha - 1) * s ** (alpha - 2)
+            except OverflowError:
+                failure = NumericFailure(
+                    f"the Levi form with alpha={alpha} overflows a float where ||w2||^2 = {s!r}"
+                )
+                count = i
+                break
     w2, radial, cross = w2[:count], radial[:count, None, None], cross[:count, None, None]
     block = radial * np.eye(q) + cross * (np.conj(w2)[:, :, None] @ w2[:, None, :])
     mats = np.zeros((count, n, n), dtype=complex)
@@ -209,8 +213,9 @@ def _levi_batch(points: np.ndarray, q: int, alpha: float, r: float) -> tuple[Lev
     complex Hessian (scaled by the same factor 2) with step ``FD_STEP``;
     disagreement beyond ``FD_REL_TOL * (1 + max entry)`` raises
     :class:`NumericFailure` naming the worst entry.  The first failing row
-    in order decides the error; a row's :class:`NotSmooth` comes before its
-    finite-difference check.
+    in order decides the error; a row's :class:`NotSmooth`, or the
+    :class:`NumericFailure` of a closed form that overflows, comes before
+    its finite-difference check.
     """
     mats, failure = _levi_matrices(points, q, alpha, r)
     count, n = len(mats), points.shape[1]
@@ -245,19 +250,3 @@ def levi_signature(w: Sequence[complex], q: int, alpha: float, r: float) -> Levi
     differencing: :func:`_levi_batch` on a batch of one."""
     return _levi_batch(np.asarray(list(w), dtype=complex)[None, :], q, alpha, r)[0]
 
-
-def in_hartogs_figure(w: Sequence[complex], q: int, r: float) -> bool:
-    """Membership in the standard two-piece figure inside the unit polydisk.
-
-    Uses the max of coordinate moduli on each block: inside the open unit
-    polydisk, the point lies in the slab (first block inside the small
-    polydisk of radius r, second block free) or in the ring (second block
-    outside the closed polydisk of radius 1-r).
-    """
-    _validate(1.0, r)
-    w1, w2 = _split(w, q)
-    if max(np.abs(np.concatenate([w1, w2]))) >= 1.0:
-        return False
-    slab = float(np.max(np.abs(w1))) < r
-    ring = float(np.max(np.abs(w2))) > 1.0 - r
-    return slab or ring

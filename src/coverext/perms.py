@@ -73,15 +73,8 @@ class Perm:
             k >>= 1
         return out
 
-    def conjugated_by(self, g: "Perm") -> "Perm":
-        """Relabel points through g: sends g(x) to g(self(x))."""
-        return g.inverse() * self * g
-
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images))
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(x for x, y in enumerate(self.images) if x == y)
 
     def support(self) -> tuple[int, ...]:
         return tuple(x for x, y in enumerate(self.images) if x != y)

@@ -6,7 +6,8 @@ formulas, group-theoretic counts from breadth-first search on raw index
 tuples, lasso permutations from nearest-root matching of companion-matrix
 fibers along a fine uniform subdivision.  The word oracles use only ``Word`` multiplication and inversion, one
 factor at a time, as the reference for batched substitution and powers.
-Coset tables are checked entry by entry on their raw rows, and maximality
+Coset tables are checked entry by entry on their raw rows, standard coset
+tables against right cosets listed as sets of permutations, and maximality
 verdicts by breadth-first propagation along those rows.
 """
 
@@ -289,6 +290,54 @@ def coset_table_closes(table: CosetTable, relators, subgroup) -> bool:
     )
 
 
+def standard_coset_table_by_permutations(n: int, subgroup_perms) -> tuple[tuple[int, ...], ...]:
+    """Rows of the standard coset table of the subgroup H of S_n that
+    ``subgroup_perms`` generate, over the generators s_i = (i-1 i) of
+    ``coxeter_presentation``.
+
+    Permutations are image tuples composed left to right, (xy)[p] = y[x[p]],
+    as words act.  The right cosets Hg are listed as frozensets of
+    permutations and numbered breadth first from H, each coset trying s1,
+    s1^-1, s2, ... in order; every s_i is an involution, so its two columns
+    are equal.
+    """
+    ident = tuple(range(n))
+    group = closure(list(subgroup_perms), math.factorial(n)) or {ident}
+    gens = []
+    for i in range(1, n):
+        s = list(ident)
+        s[i - 1], s[i] = i, i - 1
+        gens.append(tuple(s))
+    reps = [ident]
+    number = {frozenset(group): 0}
+    rows = []
+    for x in reps:  # the list grows while it is walked
+        row: list[int] = []
+        for s in gens:
+            xs = tuple(s[y] for y in x)
+            coset = frozenset(tuple(xs[y] for y in h) for h in group)
+            if coset not in number:
+                number[coset] = len(reps)
+                reps.append(xs)
+            row += [number[coset]] * 2
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def breadth_first_tree(rows) -> tuple[list[int], list[list[int]]]:
+    """A breadth-first walk from coset 0 over raw table rows, trying the
+    columns in order: the cosets in the order it meets them, and for each
+    coset the columns of its path in the walk's tree."""
+    paths = {0: []}
+    order = [0]
+    for x in order:
+        for c, y in enumerate(rows[x]):
+            if y not in paths:
+                paths[y] = paths[x] + [c]
+                order.append(y)
+    return order, [paths[c] for c in range(len(rows))]
+
+
 def maximality_by_bfs(result, candidate) -> tuple:
     """The five fields of ``maximality_check`` (the conjugator as its image
     tuple), by the package's earlier search: relators chased point by point
@@ -394,6 +443,18 @@ def levi_matrix_one_point(w: np.ndarray, q: int, alpha: float, r: float) -> np.n
     block = block + alpha * (alpha - 1) * s ** (alpha - 2) * (v @ v.conj().T)
     mat[n1:, n1:] = 2.0 * kappa * block
     return mat
+
+
+def in_hartogs_figure(w, q: int, r: float) -> bool:
+    """Membership in the standard two-piece figure inside the unit polydisk,
+    from the coordinate moduli: the slab (first block inside the polydisk of
+    radius r) or the ring (second block outside the closed polydisk of
+    radius 1 - r)."""
+    mods = [abs(complex(x)) for x in w]
+    n1 = len(mods) - q
+    if max(mods) >= 1.0:
+        return False
+    return max(mods[:n1]) < r or max(mods[n1:]) > 1.0 - r
 
 
 def levi_eigenvalues_one_point(mat: np.ndarray) -> tuple[tuple[float, ...], tuple[int, int, int]]:

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from coverext import braids
 from coverext.braids import (
     braid_generator_names,
-    braid_inclusion,
     braid_presentation,
     hom_search,
     minimal_extension_degree,
@@ -131,13 +130,6 @@ def test_hom_search_pinned_4_to_3():
 def test_hom_search_cap():
     with pytest.raises(CapExceeded):
         hom_search(6, 5, cap=1000)
-
-
-def test_braid_inclusion_words():
-    inc = braid_inclusion(3, 4)
-    assert inc.source_generators == ("s1", "s2")
-    assert [str(inc.images[n]) for n in inc.source_generators] == ["s1", "s2"]
-    assert inc.target.generators == ("s1", "s2", "s3")
 
 
 def test_minimal_extension_of_standard_three_strand():

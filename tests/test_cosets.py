@@ -6,20 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverext.cosets import CosetTable, Presentation, StabilizerData, schreier_generators, todd_coxeter
-from coverext.errors import CapExceeded
+from coverext import cosets
+from coverext.cosets import Presentation, StabilizerData, schreier_generators, todd_coxeter
+from coverext.errors import CapExceeded, SurjectivityError
+from coverext.extension import Inclusion, weak_extend
 from coverext.perms import Perm
 from coverext.reps import PermRep
 from coverext.scenarios import run_bundled
 from coverext.words import Word, format_word, parse_word
 
 from oracles import (
+    breadth_first_tree,
     chase,
     coset_table_closes,
     coxeter_presentation,
     orbit_order,
     orbit_size,
     random_transitive_images,
+    standard_coset_table_by_permutations,
 )
 
 S3 = Presentation(
@@ -313,3 +317,89 @@ def test_enumeration_closes_or_hits_the_cap(cases):
             assert table.act(0, w) == c
         if index is not None:
             assert table.index == index
+
+
+def _assert_standard(table):
+    """The table is in standard form, and each representative word is the
+    path to its coset in the breadth-first tree."""
+    order, paths = breadth_first_tree(table.rows)
+    assert order == list(range(table.index))
+    for c, cols in enumerate(paths):
+        want = Word(tuple((table.gen_names[col // 2], -1 if col % 2 else 1) for col in cols))
+        assert table.rep_words[c] == want, (c, table.rep_words[c], want)
+
+
+@pytest.mark.parametrize("cases", [coxeter_cases, two_generator_cases])
+def test_tables_are_standard_with_breadth_first_rep_words(cases):
+    for pres, sub, cap, _ in cases():
+        try:
+            table = todd_coxeter(pres, sub, cap=cap)
+        except CapExceeded:
+            continue
+        _assert_standard(table)
+
+
+def test_weak_extend_tables_are_standard():
+    rng = np.random.default_rng(16)
+    checked = 0
+    for _ in range(40):
+        degree = int(rng.integers(1, 13))
+        k = int(rng.integers(1, 4))
+        names = tuple(f"a{i}" for i in range(k))
+        rho0 = PermRep(degree, {n: Perm.from_images(t) for n, t in zip(names, random_transitive_images(rng, degree, k))})
+        m = int(rng.integers(2, 7))
+        targets = [
+            Inclusion(names, {n: Word.gen(n) for n in names}, Presentation.free(names)),
+            Inclusion(names, {n: Word.gen("g", int(rng.integers(1, m))) for n in names},
+                      Presentation(("g",), (Word.gen("g", m),))),
+            Inclusion(names, {n: _random_word(rng, ("x", "y")) for n in names}, S3),
+        ]
+        for inc in targets:
+            try:
+                res = weak_extend(rho0, inc, surjectivity_assumed=False)
+            except SurjectivityError:  # a random map into S3 need not be onto
+                continue
+            _assert_standard(res.table)
+            checked += 1
+    assert checked >= 80
+
+
+def _perm_of(word: Word, n: int) -> tuple[int, ...]:
+    """The permutation of a word in s1..s{n-1}, letters applied left to right."""
+    x = tuple(range(n))
+    for name, _ in word.letters():
+        i = int(name[1:])
+        s = list(range(n))
+        s[i - 1], s[i] = i, i - 1
+        x = tuple(s[y] for y in x)
+    return x
+
+
+def test_todd_coxeter_gives_the_standard_table_of_the_cosets():
+    rng = np.random.default_rng(1991)
+    for n in (4, 5, 6):
+        pres = coxeter_presentation(n)
+        names = pres.generators
+        for _ in range(6):
+            sub = [
+                Word(tuple((names[int(rng.integers(0, n - 1))], int(rng.choice([-1, 1])))
+                           for _ in range(int(rng.integers(1, 7)))))
+                for _ in range(int(rng.integers(0, 3)))
+            ]
+            table = todd_coxeter(pres, sub)
+            assert table.rows == standard_coset_table_by_permutations(n, [_perm_of(w, n) for w in sub])
+
+
+def test_s7_makes_half_the_definitions_on_involution_columns(monkeypatch):
+    defined = 0
+    real = cosets._Enumerator._define
+
+    def counting(self, a, k):
+        nonlocal defined
+        defined += 1
+        real(self, a, k)
+
+    monkeypatch.setattr(cosets._Enumerator, "_define", counting)
+    assert todd_coxeter(coxeter_presentation(7)).index == 5040
+    # HLT with a column and an inverse column per generator needs 12,642
+    assert defined == 6032

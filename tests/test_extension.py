@@ -12,7 +12,6 @@ from coverext.errors import CapExceeded, SurjectivityError
 from coverext.extension import (
     Inclusion,
     abelianized_surjective,
-    lift_is_closed,
     maximality_check,
     two_sheet_unique,
     weak_extend,
@@ -220,13 +219,6 @@ def test_two_sheet_uniqueness_range():
     assert all(two_sheet_unique(k) for k in range(1, 9))
     with pytest.raises(ValueError):
         two_sheet_unique(0)
-
-
-def test_lift_closure():
-    rho0, _ = two_sheet_input()
-    assert not lift_is_closed(rho0, parse_word("alpha1"))
-    assert lift_is_closed(rho0, parse_word("alpha1^2"))
-    assert lift_is_closed(rho0, parse_word("alpha1 alpha2^-1"))
 
 
 def test_maximality_verdicts():

@@ -9,12 +9,11 @@ from coverext.hartogs import (
     _fd_complex_hessian,
     _levi_batch,
     _rho_rows,
-    in_hartogs_figure,
     levi_matrix,
     levi_signature,
     rho_alpha,
 )
-from oracles import fd_complex_hessian_loop, levi_eigenvalues_one_point, levi_matrix_one_point
+from oracles import fd_complex_hessian_loop, in_hartogs_figure, levi_eigenvalues_one_point, levi_matrix_one_point
 
 
 def random_point(rng, n, low=0.05, high=0.95):
@@ -44,7 +43,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match="strictly between"):
         rho_alpha([0.1, 0.2], q=1, alpha=1.0, r=1.0)
     with pytest.raises(ValueError, match="strictly between"):
-        in_hartogs_figure([0.1, 0.2], q=1, r=0.0)
+        rho_alpha([0.1, 0.2], q=1, alpha=1.0, r=0.0)
 
 
 def test_signature_frozen_cases():
@@ -152,6 +151,25 @@ def test_the_first_failing_point_in_order_decides_the_error():
     assert str(swapped.value) == str(alone.value)
 
 
+def test_an_overflowing_levi_form_is_a_numeric_failure_in_point_order():
+    for levi in (levi_signature, levi_matrix):
+        with pytest.raises(NumericFailure, match="overflows a float"):
+            levi([0.3, 2.0], 1, 1e3, 0.5)
+    # ordered like NotSmooth: the rows before the failing one are judged first
+    fine, flat, huge = [0.3, 0.5], [0.3, 0.0], [0.3, 2.0]
+    alpha = 1000.5  # not an integer, so w2 = 0 is not smooth
+    assert levi_signature(fine, 1, alpha, 0.5).signature == (0, 1, 1)
+    with pytest.raises(NumericFailure, match="overflows a float"):
+        _levi_batch(np.array([fine, huge, flat], dtype=complex), 1, alpha, 0.5)
+    with pytest.raises(NotSmooth):
+        _levi_batch(np.array([fine, flat, huge], dtype=complex), 1, alpha, 0.5)
+    far = [1e3, 1e3]  # differencing loses every digit there
+    with pytest.raises(NumericFailure, match="deviates from finite differences"):
+        _levi_batch(np.array([far, huge], dtype=complex), 1, 3.5, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        levi_signature(flat, 1, float("inf"), 0.5)
+
+
 def test_levi_dimension_is_capped():
     assert hartogs.MAX_DIM == 64
     w = [0.3] * (hartogs.MAX_DIM + 1)
@@ -173,16 +191,6 @@ def test_signature_random_parameters():
         r = float(rng.uniform(0.1, 0.9))
         data = levi_signature(random_point(rng, n), q, alpha, r=r)
         assert data.signature == (q, n - q, 0)
-
-
-def test_figure_membership_examples():
-    r = 0.5
-    assert in_hartogs_figure([0, 0, 0], q=2, r=r)
-    assert not in_hartogs_figure([0.9, 0.5, 0.5], q=2, r=r)
-    assert in_hartogs_figure([0.9, 0.9, 0.2], q=2, r=r)
-    assert in_hartogs_figure([0.2, 0.8, 0.8], q=2, r=r)
-    assert not in_hartogs_figure([1.2, 0.1, 0.1], q=2, r=r)
-    assert not in_hartogs_figure([1.0, 0.0, 0.0], q=2, r=r)
 
 
 def test_union_of_superlevel_sets_fills_polydisk_off_the_annulus():

@@ -381,7 +381,7 @@ def test_slice_closure_cap_reports_cap_exceeded(monkeypatch):
     assert {c["verdict"] for c in rep.claims} == {"NOT-CLAIMED"}
 
 
-CONTRACT_VALUES = [None, True, -1, 0, 1.5, "x", [], {}, float("nan"), float("inf")]
+CONTRACT_VALUES = [None, True, -1, 0, 1.5, "x", [], {}, float("nan"), float("inf"), 1e308, 5000.0, 2**40]
 FREE_TEXT = {"id", "source", "statement", "description", "name"}
 
 
@@ -466,3 +466,9 @@ def test_hartogs_dimension_over_the_levi_cap_is_a_schema_error():
     with pytest.raises(SchemaError, match=r"at scenario\.cases\[0\]: n=1000000 exceeds MAX_DIM=64"):
         run_payload(_sweep_case(n=10**6, count=1))
     assert perf_counter() - t0 < 1.0
+
+
+def test_an_overflowing_hartogs_case_is_a_numeric_failure():
+    payload = {"kind": "hartogs-check", "r": 0.5, "cases": [{"n": 8, "q": 7, "alpha": 5000.0, "count": 3, "seed": 1}]}
+    with pytest.raises(NumericFailure, match="overflows a float"):
+        run_payload(payload)
