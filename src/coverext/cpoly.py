@@ -124,26 +124,38 @@ def roots(p: CPoly) -> tuple[complex, ...]:
         return out
 
     dq = q.derivative()
+    # Horner on the highest-first coefficients; dq has d of them, q d + 1.
+    # The iterates stay numpy scalars and every sum keeps its order and its
+    # int 0 start: Python complex division, or numpy array arithmetic,
+    # would round differently and move roots that reach the reports.
+    q_hi, dq_hi = q.coeffs[::-1], dq.coeffs[::-1]
+    c0 = q_hi[-1]
     radius = 0.8 * root_bound(q)
     zs = [radius * np.exp(2j * pi * (k / d) + 0.4j) for k in range(d)]
     best = np.inf
     stale = 0
     for _ in range(MAX_ITER):
         ws = []
-        for j in range(d):
-            pv = q(zs[j])
-            dpv = dq(zs[j])
+        for j, z in enumerate(zs):
+            pv = dpv = 0j
+            for c, dc in zip(q_hi, dq_hi):
+                pv = pv * z + c
+                dpv = dpv * z + dc
+            pv = pv * z + c0
             if dpv == 0:
                 dpv = 1e-300
             newton = pv / dpv
-            s = sum(1.0 / (zs[j] - zs[k]) for k in range(d) if k != j)
+            s = 0
+            for k, zk in enumerate(zs):
+                if k != j:
+                    s = s + 1.0 / (z - zk)
             denom = 1.0 - newton * s
             if denom == 0:
                 denom = 1e-300
             ws.append(newton / denom)
         zs = [z - w for z, w in zip(zs, ws)]
-        step = max(abs(w) for w in ws)
-        if step < 1e-14 * (1.0 + max(abs(z) for z in zs)):
+        step = max(map(abs, ws))
+        if step < 1e-14 * (1.0 + max(map(abs, zs))):
             break
         if step < 0.5 * best:
             best = step
@@ -159,14 +171,15 @@ def roots(p: CPoly) -> tuple[complex, ...]:
 
     polished = []
     for z in zs:
-        zz, val = z, abs(q(z))
+        zz, qv = z, q(z)
         for _ in range(3):
             dpv = dq(zz)
             if dpv == 0:
                 break
-            z2 = zz - q(zz) / dpv
-            if abs(q(z2)) < val:
-                zz, val = z2, abs(q(z2))
+            z2 = zz - qv / dpv
+            q2 = q(z2)
+            if abs(q2) < abs(qv):
+                zz, qv = z2, q2
             else:
                 break
         polished.append(zz)

@@ -8,12 +8,16 @@ a straight approach that takes the minor arc around each disk it crosses, a
 counterclockwise circle, and the reversed approach.  Path nodes are spaced
 by one local rule, 0.35 x the distance to the nearest branch point (at least
 the smallest lasso radius) over ``refine``.  Fibers are continued along the
-paths with an adaptive corrector that never lets a sheet move more than a
-third of its own distance to the nearest other sheet in one step, bisecting
-where needed, so sheet identities cannot be exchanged silently (the
-triangle-inequality argument is in :func:`track_path`).  Each sheet answers
-to its own spacing, so a fast sheet far from the others does not force the
-step down to the separation of two slow ones.
+paths by a predictor-corrector: a secant through the last two accepted
+fibers predicts each sheet, and Newton corrects it.  A step is accepted
+only if no sheet moved more than a third of its own distance to the
+nearest other sheet of the previous fiber, measured from that fiber and
+not from the prediction; otherwise it is bisected.  So sheet identities
+cannot be exchanged silently (the triangle-inequality argument is in
+:func:`track_path`), and the predictor only saves Newton steps and
+bisections.  Each sheet answers to its own spacing, so a fast sheet far
+from the others does not force the step down to the separation of two
+slow ones.
 
 Sheet indices always refer to the basepoint fiber sorted by (real, imag).
 """
@@ -101,19 +105,26 @@ def z_discriminant(cover: CoverSlice) -> CPoly:
     return CPoly(cleaned)
 
 
-def _newton_w(coeffs: Sequence[complex], w: complex, max_iter: int = 30) -> complex | None:
-    """Newton's iteration on the polynomial with constant-first ``coeffs`` (in
-    w or in z) from w; None unless a step shrinks below 1e-13 relative within
-    ``max_iter`` steps.  One Horner loop evaluates p and p' together, each
-    with the operations of its own Horner evaluation.  Nothing is coerced:
-    ``branch_points`` refines numpy scalars, whose bits reach the reports."""
-    terms = [(coeffs[k], k * coeffs[k]) for k in range(len(coeffs) - 1, 0, -1)]
+def _newton_terms(coeffs: Sequence[complex]) -> list[tuple[complex, complex]]:
+    """The Horner terms (c_k, k c_k) of p and p', from the top degree down to
+    k = 1, of the polynomial with constant-first ``coeffs``."""
+    return [(coeffs[k], k * coeffs[k]) for k in range(len(coeffs) - 1, 0, -1)]
+
+
+def _newton(
+    terms: Sequence[tuple[complex, complex]], c0: complex, w: complex, max_iter: int = 30
+) -> complex | None:
+    """Newton's iteration from w on the polynomial with Horner ``terms``
+    (:func:`_newton_terms`) and constant ``c0``; None unless a step shrinks
+    below 1e-13 relative within ``max_iter`` steps.  One Horner loop
+    evaluates p and p' together, each with the operations of its own Horner
+    evaluation."""
     for _ in range(max_iter):
         p = d = 0j
         for c, kc in terms:
             p = p * w + c
             d = d * w + kc
-        p = p * w + coeffs[0]
+        p = p * w + c0
         if d == 0:
             return None
         step = p / d
@@ -121,6 +132,13 @@ def _newton_w(coeffs: Sequence[complex], w: complex, max_iter: int = 30) -> comp
         if abs(step) < 1e-13 * (1.0 + abs(w)):
             return w
     return None
+
+
+def _newton_w(coeffs: Sequence[complex], w: complex, max_iter: int = 30) -> complex | None:
+    """:func:`_newton` on the polynomial with constant-first ``coeffs`` (in w
+    or in z).  Nothing is coerced: ``branch_points`` refines numpy scalars,
+    whose bits reach the reports."""
+    return _newton(_newton_terms(coeffs), coeffs[0], w, max_iter)
 
 
 def _clusters(points: Sequence[complex], tol: float) -> list[list[int]]:
@@ -208,11 +226,17 @@ def _minsep(points: Sequence[complex]) -> float:
 
 
 def _reach(fiber: Sequence[complex]) -> list[float]:
-    """A third of each sheet's distance to the nearest other sheet."""
-    return [
-        min((abs(w - v) for j, v in enumerate(fiber) if j != i), default=math.inf) / 3
-        for i, w in enumerate(fiber)
-    ]
+    """A third of each sheet's distance to the nearest other sheet, in one
+    pass over the pairs."""
+    near = [math.inf] * len(fiber)
+    for i, w in enumerate(fiber):
+        for j in range(i + 1, len(fiber)):
+            gap = abs(w - fiber[j])
+            if gap < near[i]:
+                near[i] = gap
+            if gap < near[j]:
+                near[j] = gap
+    return [r / 3 for r in near]
 
 
 def track_path(
@@ -233,24 +257,40 @@ def track_path(
     A fast, isolated sheet is thus held to its own spacing, not to that of
     two slow ones elsewhere in the fiber.
 
+    Newton starts from a secant prediction: with v the fiber accepted at
+    z_back just before the current fiber w at z_from, sheet i starts at
+    w_i + (w_i - v_i) (z_to - z_from) / (z_from - z_back).  The first step,
+    a step after a zero-length one (z_from == z_back), and a prediction that
+    is not finite or lies r_i / 3 or more from w_i start at w_i.  Where
+    Newton starts changes only how fast it converges: the acceptance test
+    still measures the move from w_i, so the argument above is unchanged.
+
     The corrector works on Python complex values: the w-coefficients at z
-    are evaluated once per step into a plain list, and the limits r_i / 3 are
-    recomputed only when a step is accepted.
+    and their Newton terms are evaluated once per step, and the limits
+    r_i / 3 are recomputed only when a step is accepted.
     """
     rows = cover.poly.w_coeffs
     fiber = [complex(w) for w in start_fiber]
     reach = _reach(fiber)
+    back: tuple[complex, list[complex]] | None = None  # the fiber accepted before ``fiber``
 
     def advance(z_to: complex, depth: int, z_from: complex) -> None:
-        nonlocal fiber, reach
+        nonlocal fiber, reach, back
         coeffs = [row(z_to) for row in rows]
+        terms, c0 = _newton_terms(coeffs), coeffs[0]
+        if back is None or back[0] == z_from:
+            guesses = fiber
+        else:
+            t = (z_to - z_from) / (z_from - back[0])
+            guesses = [w + (w - v) * t for w, v in zip(fiber, back[1])]
         corrected: list[complex] = []
-        for w, limit in zip(fiber, reach):
-            w2 = _newton_w(coeffs, w)
+        for w, guess, limit in zip(fiber, guesses, reach):
+            w2 = _newton(terms, c0, guess if abs(guess - w) < limit else w)
             if w2 is None or abs(w2 - w) >= limit:
                 break
             corrected.append(w2)
         else:
+            back = (z_from, fiber)
             fiber = corrected
             reach = _reach(fiber)
             return
@@ -484,7 +524,9 @@ def full_monodromy(
     point first on (quantized) ties.  With that order their left-to-right
     product is compared against the boundary loop.  A cycle-type mismatch between the
     two is a tracking failure and raises; an orientation-level mismatch is
-    recorded in ``product_matches_boundary``.
+    recorded in ``product_matches_boundary``.  A :class:`NumericFailure` in
+    tracking a loop or matching its end fiber names the loop: ``lasso k``
+    (k indexes ``perms``) with its branch point, or ``boundary loop``.
     """
     branch, basepoint, fiber0 = _start(cover, basepoint, refine)
     if not branch:
@@ -504,10 +546,14 @@ def full_monodromy(
     )
     branch_ord = tuple(branch[k] for k in order)
     radii = lasso_radii(branch_ord, basepoint)
-    *perms, boundary = [
-        _match_perm(fiber0, track_path(cover, nodes, fiber0))
-        for nodes in _loops(basepoint, branch_ord, radii, refine)
-    ]
+    ends: list[Perm] = []
+    for k, nodes in enumerate(_loops(basepoint, branch_ord, radii, refine)):
+        try:
+            ends.append(_match_perm(fiber0, track_path(cover, nodes, fiber0)))
+        except NumericFailure as exc:
+            loop = f"lasso {k} around z = {branch_ord[k]}" if k < len(branch_ord) else "boundary loop"
+            raise NumericFailure(f"{loop}: {exc}") from exc
+    *perms, boundary = ends
 
     product = Perm.identity(cover.degree)
     for p in perms:

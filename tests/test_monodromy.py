@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coverext.cpoly import BivarPoly, CPoly
-from coverext.errors import DegenerateCover
+from coverext.errors import DegenerateCover, NumericFailure
 from coverext import monodromy
 from coverext.monodromy import (
     CoverSlice,
@@ -17,6 +17,7 @@ from coverext.monodromy import (
     full_monodromy,
     lasso_radii,
     separates_fiber,
+    track_path,
     track_to,
     weierstrass_poly_of_function,
     z_discriminant,
@@ -357,7 +358,7 @@ def test_isolated_fast_sheet_does_not_hold_up_the_tracker():
     assert [p.images for p in mono.perms] == PERMS_121
 
 
-@pytest.mark.parametrize("seed", [102, 103, 108, 109])
+@pytest.mark.parametrize("seed", [100, 102, 103, 104, 108, 109, 115, 117])
 def test_lasso_permutations_match_nearest_root_continuation(seed):
     rows = generic_cover_rows(seed)
     mono = full_monodromy(CoverSlice(BivarPoly.from_lists(rows)))
@@ -365,3 +366,53 @@ def test_lasso_permutations_match_nearest_root_continuation(seed):
     h = min(mono.radii) / 8
     got = [loop_perm_by_matching(rows, nodes, mono.fiber, h) for nodes in loops]
     assert got == [p.images for p in mono.perms] + [mono.boundary_perm.images]
+
+
+def test_repeated_nodes_return_the_start_fiber():
+    # a zero-length step leaves no secant to extrapolate along the next one
+    fiber = STEIN.fiber(1.0)
+    end = track_path(STEIN, [1, 1, 2, 2, 1], fiber)
+    assert all(abs(a - b) < 1e-12 for a, b in zip(end, fiber))
+
+
+def test_tracking_through_a_branch_point_fails_at_the_depth_cap():
+    # w^2 = z along [1, -1] passes through the double root at z = 0: every
+    # step that ends there is rejected, down to the last bisection level
+    t0 = perf_counter()
+    with pytest.raises(NumericFailure, match=r"near z = 0\.0 \(bisection depth 40\)"):
+        track_path(STEIN, [1, -1], STEIN.fiber(1.0))
+    assert perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("k, name", [(0, r"lasso 0 around z = 0j"), (1, "boundary loop")])
+def test_full_monodromy_names_the_failing_loop(monkeypatch, k, name):
+    loops = monodromy._loops
+
+    def through_the_branch_point(basepoint, branch, radii, refine):
+        out = loops(basepoint, branch, radii, refine)
+        out[k] = [basepoint, -basepoint, basepoint]
+        return out
+
+    monkeypatch.setattr(monodromy, "_loops", through_the_branch_point)
+    with pytest.raises(NumericFailure, match=rf"^{name}: sheet tracking failed to converge near z = 0"):
+        full_monodromy(STEIN)
+
+
+@pytest.mark.parametrize("seed", [102, 103])
+def test_reversing_paths_match_nearest_root_continuation(seed):
+    # out to each lasso circle, once round, back round it the way it came,
+    # round again and home: the path reverses twice on the circle, where a
+    # secant predicts worst, and still ends in the lasso permutation
+    rows = generic_cover_rows(seed)
+    cover = CoverSlice(BivarPoly.from_lists(rows))
+    mono = full_monodromy(cover)
+    disks = list(zip(mono.branch, mono.radii))
+    step = monodromy._step_rule(mono.branch, mono.radii, 1)
+    h = min(mono.radii) / 8
+    for k, (c, r) in enumerate(disks):
+        approach, th = monodromy._approach(mono.basepoint, c, r, disks[:k] + disks[k + 1:], step)
+        turn = monodromy._arc(c, r, th, 2 * cmath.pi, step)
+        nodes = approach + turn + turn[-2::-1] + approach[-1:] + turn + approach[-2::-1]
+        tracked = monodromy._match_perm(mono.fiber, track_path(cover, nodes, mono.fiber))
+        assert tracked == mono.perms[k]
+        assert loop_perm_by_matching(rows, nodes, mono.fiber, h) == tracked.images
