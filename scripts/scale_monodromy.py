@@ -7,7 +7,8 @@ lasso group (``closure_order``) or the error the cover raised, and the total.
 One SHA-256 covers every cover's answer: the images of each lasso permutation
 and of the boundary permutation and the closure order or its cap message, or
 the type and text of the error the cover raised; equal digests mean equal
-answers on the whole corpus.  A cover that answers with a lasso product other
+answers on the whole corpus.  The encoding is ``tests/oracles.corpus_answer``,
+which the tier-1 test that pins the digest shares.  A cover that answers with a lasso product other
 than its boundary loop ends the script with a non-zero exit status; a raised
 error is printed and counted but is not a wrong answer.
 
@@ -20,20 +21,18 @@ wrong order also ends the script with a non-zero exit status.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import sys
 import time
 from pathlib import Path
 
 from coverext.cpoly import BivarPoly
-from coverext.errors import CapExceeded, NumericFailure
+from coverext.errors import NumericFailure
 from coverext.monodromy import CoverSlice, full_monodromy
 from coverext.perms import Perm, generated_order
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import generic_cover_rows  # noqa: E402
+from oracles import answer_digest, corpus_answer, generic_cover_rows  # noqa: E402
 
 SEEDS = range(100, 160)
 DEGREES = (8, 9, 10)
@@ -48,11 +47,7 @@ def timed(fn):
 def main() -> None:
     print(f"{'seed':>5} {'d':>3} {'branch':>7} {'monodromy_s':>12} {'order':>10}")
     total, errors = 0.0, 0
-    answers = hashlib.sha256()
-
-    def record(*answer) -> None:
-        answers.update(json.dumps(answer).encode() + b"\n")
-
+    answers = []
     for seed in SEEDS:
         rows = generic_cover_rows(seed)
         cover = CoverSlice(BivarPoly.from_lists(rows))
@@ -60,20 +55,17 @@ def main() -> None:
             mono, dt = timed(lambda: full_monodromy(cover))
         except NumericFailure as exc:
             errors += 1
-            record(seed, type(exc).__name__, str(exc))
+            answers.append(corpus_answer(seed, exc))
             print(f"{seed:>5} {len(rows) - 1:>3} {'-':>7} {'-':>12} raised: {exc}", flush=True)
             continue
         total += dt
         if not mono.product_matches_boundary:
             raise SystemExit(f"seed {seed}: lasso product {mono.product_perm} != boundary {mono.boundary_perm}")
-        try:
-            order = str(mono.closure_order())
-        except CapExceeded as exc:
-            order = str(exc)
-        record(seed, [p.images for p in mono.perms], mono.boundary_perm.images, order)
+        answers.append(corpus_answer(seed, mono))
+        order = answers[-1][-1]
         print(f"{seed:>5} {len(rows) - 1:>3} {len(mono.branch):>7} {dt:>12.3f} {order:>10}", flush=True)
     print(f"total {total:.2f} s over {len(SEEDS) - errors} covers, {errors} raised")
-    print(f"answers sha256 {answers.hexdigest()}")
+    print(f"answers sha256 {answer_digest(answers)}")
 
     print(f"\n{'group':>6} {'generated_order_s':>18} {'order':>9}")
     for n in DEGREES:

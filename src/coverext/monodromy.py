@@ -5,19 +5,22 @@ over a base z-value form the fiber.  Branch points are the zeros of the
 z-discriminant (computed by interpolating Sylvester determinants).  Each
 branch point gets a basepoint lasso, and a boundary loop encircles them all:
 a straight approach that takes the minor arc around each disk it crosses, a
-counterclockwise circle, and the reversed approach.  Path nodes are spaced
-by one local rule, 0.35 x the distance to the nearest branch point (at least
-the smallest lasso radius) over ``refine``.  Fibers are continued along the
-paths by a predictor-corrector: a secant through the last two accepted
-fibers predicts each sheet, and Newton corrects it.  A step is accepted
-only if no sheet moved more than a third of its own distance to the
-nearest other sheet of the previous fiber, measured from that fiber and
-not from the prediction; otherwise it is bisected.  So sheet identities
-cannot be exchanged silently (the triangle-inequality argument is in
-:func:`track_path`), and the predictor only saves Newton steps and
-bisections.  Each sheet answers to its own spacing, so a fast sheet far
-from the others does not force the step down to the separation of two
-slow ones.
+counterclockwise circle, and the reversed approach.  Only the approach and
+the circle are tracked, and the permutation is read at the circle: lifts of
+paths are unique, so the reversed approach carries the fiber at the circle
+back to the basepoint fiber sheet for sheet, and tracking it would only
+recompute that bijection.  Path nodes are spaced by one local rule, 0.35 x
+the distance to the nearest branch point (at least the smallest lasso radius)
+over ``refine``.  Fibers are continued along the paths by a
+predictor-corrector: a secant through the last two accepted fibers predicts
+each sheet, and Newton corrects it.  A step is accepted only if no sheet
+moved more than a third of its own distance to the nearest other sheet of the
+previous fiber, measured from that fiber and not from the prediction;
+otherwise it is bisected.  So sheet identities cannot be exchanged silently
+(the triangle-inequality argument is in :func:`track_path`), and the
+predictor only saves Newton steps and bisections.  Each sheet answers to its
+own spacing, so a fast sheet far from the others does not force the step down
+to the separation of two slow ones.
 
 Sheet indices always refer to the basepoint fiber sorted by (real, imag).
 """
@@ -394,29 +397,21 @@ def _approach(
     return _route_segment(basepoint, entry, obstacles, step), cmath.phase(entry - center)
 
 
-def _loop_nodes(
-    basepoint: complex,
-    center: complex,
-    radius: float,
-    obstacles: Sequence[tuple[complex, float]],
-    step: Step,
-) -> list[complex]:
-    """Loop from the basepoint around the circle |z - center| = radius: the
-    approach to its entry point, one counterclockwise turn, and the approach
-    reversed."""
-    approach, th = _approach(basepoint, center, radius, obstacles, step)
-    return approach + _arc(center, radius, th, 2 * math.pi, step) + approach[-2::-1]
-
-
 def _loops(
     basepoint: complex,
     branch: Sequence[complex],
     radii: Sequence[float],
     refine: int,
-) -> list[list[complex]]:
-    """Node lists of the lasso around each branch point, in the given order,
-    and last of the boundary loop: a circle about the branch points' mean
-    that encloses every lasso disk and the basepoint."""
+) -> list[tuple[list[complex], list[complex]]]:
+    """The (approach, turn) node lists of the lasso around each branch point,
+    in the given order, and last of the boundary loop: a circle about the
+    branch points' mean that encloses every lasso disk and the basepoint.
+
+    The approach runs from the basepoint to the circle's entry point; the
+    turn starts there and goes once round counterclockwise.  The loop's
+    third leg, the approach reversed, is left out: continuing along it only
+    undoes the approach (see :func:`full_monodromy`).
+    """
     step = _step_rule(branch, radii, refine)
     disks = list(zip(branch, radii))
     m = sum(branch) / len(branch)
@@ -424,7 +419,11 @@ def _loops(
     rr = max(abs(c - m) + 2.5 * r for c, r in disks)
     rr = max(rr, abs(basepoint - m)) + 0.1 * (1.0 + spread)
     loops = [(c, r, disks[:k] + disks[k + 1:]) for k, (c, r) in enumerate(disks)] + [(m, rr, disks)]
-    return [_loop_nodes(basepoint, c, r, obs, step) for c, r, obs in loops]
+    out = []
+    for c, r, obs in loops:
+        approach, th = _approach(basepoint, c, r, obs, step)
+        out.append((approach, [approach[-1]] + _arc(c, r, th, 2 * math.pi, step)))
+    return out
 
 
 def lasso_radii(branch: Sequence[complex], basepoint: complex) -> tuple[float, ...]:
@@ -527,6 +526,15 @@ def full_monodromy(
     recorded in ``product_matches_boundary``.  A :class:`NumericFailure` in
     tracking a loop or matching its end fiber names the loop: ``lasso k``
     (k indexes ``perms``) with its branch point, or ``boundary loop``.
+
+    Each loop's approach is tracked once, from the basepoint fiber to the
+    entry fiber on the circle, and its turn from there.  The return leg is
+    not tracked: the lift of the reversed approach is the approach's lift
+    run backwards (unique path lifting), so it takes entry sheet j home to
+    basepoint sheet j, as ``track_path`` keeps sheet order.  Sheet i ending
+    the turn at entry sheet j therefore ends the whole loop at basepoint
+    sheet j, and the loop's permutation is the turn's end fiber matched
+    against the entry fiber.
     """
     branch, basepoint, fiber0 = _start(cover, basepoint, refine)
     if not branch:
@@ -547,9 +555,10 @@ def full_monodromy(
     branch_ord = tuple(branch[k] for k in order)
     radii = lasso_radii(branch_ord, basepoint)
     ends: list[Perm] = []
-    for k, nodes in enumerate(_loops(basepoint, branch_ord, radii, refine)):
+    for k, (approach, turn) in enumerate(_loops(basepoint, branch_ord, radii, refine)):
         try:
-            ends.append(_match_perm(fiber0, track_path(cover, nodes, fiber0)))
+            entry = track_path(cover, approach, fiber0)
+            ends.append(_match_perm(entry, track_path(cover, turn, entry)))
         except NumericFailure as exc:
             loop = f"lasso {k} around z = {branch_ord[k]}" if k < len(branch_ord) else "boundary loop"
             raise NumericFailure(f"{loop}: {exc}") from exc

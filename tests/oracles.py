@@ -4,21 +4,28 @@ Nothing here goes through the package's own algorithms: roots come from
 numpy's companion matrix, resultants and discriminants from root-product
 formulas, group-theoretic counts from breadth-first search on raw index
 tuples, lasso permutations from nearest-root matching of companion-matrix
-fibers along a fine uniform subdivision.  The word oracles use only ``Word`` multiplication and inversion, one
-factor at a time, as the reference for batched substitution and powers.
-Coset tables are checked entry by entry on their raw rows, standard coset
-tables against right cosets listed as sets of permutations, and maximality
-verdicts by breadth-first propagation along those rows.
+fibers along a subdivision that is fine near the branch points, and the
+boundary loop's cycle type from the Newton polygon at z = infinity.  The word
+oracles use only ``Word`` multiplication and inversion, one factor at a time,
+as the reference for batched substitution and powers.  Coset tables are
+checked entry by entry on their raw rows, standard coset tables against
+right cosets listed as sets of permutations, and maximality verdicts by
+breadth-first propagation along those rows.  ``corpus_answer`` and
+``answer_digest`` encode the generic-cover corpus's answers for
+``scripts/scale_monodromy.py`` and the tests alike.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
 
 from coverext.cosets import CosetTable, Presentation
+from coverext.errors import CapExceeded
 from coverext.words import Word
 
 
@@ -486,17 +493,30 @@ def _nearest(w: complex, points: list[complex]) -> int:
     return dists[0][1]
 
 
-def loop_perm_by_matching(rows, nodes, fiber0, h: float) -> tuple[int, ...]:
+def _cuts(a: complex, b: complex, h: float, branch) -> list[complex]:
+    """Points along the segment from a to b, ending at b, each placed
+    max(h, d / 8) past the previous one, where d is the previous point's
+    distance to the nearest of the points ``branch``."""
+    out, z = [], a
+    while True:
+        piece = max(h, min((abs(z - c) for c in branch), default=math.inf) / 8)
+        if abs(b - z) <= piece:
+            return out + [b]
+        z = z + (b - z) * (piece / abs(b - z))
+        out.append(z)
+
+
+def loop_perm_by_matching(rows, nodes, fiber0, h: float, branch) -> tuple[int, ...]:
     """Image tuple of the loop through ``nodes`` (starting and ending at the
     z of ``fiber0``) on the sheets ``fiber0``.  Each segment is cut into
-    equal pieces no longer than h; at every cut the fiber is recomputed from
-    companion-matrix roots and each sheet moves to the nearest new root.
-    Every matching must be unambiguous and a bijection."""
+    pieces no longer than max(h, d / 8), with d the distance from the
+    piece's start to the nearest branch point, so the cut is fine only near
+    ``branch``; at every cut the fiber is recomputed from companion-matrix
+    roots and each sheet moves to the nearest new root.  Every matching must
+    be unambiguous and a bijection."""
     cur = [complex(w) for w in fiber0]
     for a, b in zip(nodes, nodes[1:]):
-        pieces = max(1, math.ceil(abs(b - a) / h))
-        for s in range(1, pieces + 1):
-            z = a + (b - a) * s / pieces
+        for z in _cuts(a, b, h, branch):
             fib = companion_roots([horner(row, z) for row in rows])
             idx = [_nearest(w, fib) for w in cur]
             assert len(set(idx)) == len(idx), f"two sheets matched one root at z = {z}"
@@ -504,3 +524,71 @@ def loop_perm_by_matching(rows, nodes, fiber0, h: float) -> tuple[int, ...]:
     images = tuple(_nearest(w, list(fiber0)) for w in cur)
     assert sorted(images) == list(range(len(fiber0)))
     return images
+
+
+def boundary_cycle_type(rows) -> tuple[int, ...] | None:
+    """Cycle type, fixed points included and sorted descending, of the loop
+    round a circle enclosing every branch point of the monic cover with raw
+    ``w_coeffs`` ``rows``, from the Newton polygon at z = infinity; None when
+    an edge polynomial is not squarefree.
+
+    On a large circle the sheets follow the edges of the upper hull of the
+    points (k, deg_z c_k).  An edge from k1 to k2 of run L = k2 - k1 whose
+    height falls by p over it (p may be zero or negative) holds L sheets
+    w ~ a z^(p / L).  With p / L = p' / q in lowest terms, a^q runs over the
+    L / q roots of the edge polynomial, the sum over the edge's points of
+    lc(c_k) u^((k - k1) / q).  One turn multiplies a by exp(2 pi i p' / q),
+    so when those roots are distinct the edge gives L / q cycles of length q.
+    """
+    pts = []
+    for k, row in enumerate(rows):
+        cs = [complex(c) for c in row]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        if cs:
+            pts.append((k, len(cs) - 1, cs[-1]))
+    hull: list[tuple[int, int, complex]] = []
+    for pt in pts:
+        k, h, _ = pt
+        while len(hull) >= 2:
+            (k0, h0, _), (k1, h1, _) = hull[-2], hull[-1]
+            if (k1 - k0) * (h - h0) - (h1 - h0) * (k - k0) < 0:
+                break  # the last hull point lies strictly above the chord to pt
+            hull.pop()
+        hull.append(pt)
+    cycles: list[int] = []
+    for (k1, h1, _), (k2, h2, _) in zip(hull, hull[1:]):
+        run = k2 - k1
+        q = run // math.gcd(h1 - h2, run)
+        edge = [0j] * (run // q + 1)
+        for k, h, lc in pts:
+            if k1 <= k <= k2 and (h - h1) * run == (h2 - h1) * (k - k1):
+                edge[(k - k1) // q] = lc
+        us = companion_roots(edge)
+        scale = 1.0 + max((abs(u) for u in us), default=0.0)
+        if any(abs(u - v) <= 1e-8 * scale for i, u in enumerate(us) for v in us[i + 1:]):
+            return None
+        cycles += [q] * (run // q)
+    return tuple(sorted(cycles, reverse=True))
+
+
+def corpus_answer(seed: int, outcome) -> list:
+    """The answer of one generic-cover corpus seed as JSON values: the image
+    tuples of its lasso permutations, of its boundary permutation and its
+    closure order (or the cap message), from a ``MonodromyResult``; or the
+    type name and text of the error ``full_monodromy`` raised."""
+    if isinstance(outcome, Exception):
+        return [seed, type(outcome).__name__, str(outcome)]
+    try:
+        order = str(outcome.closure_order())
+    except CapExceeded as exc:
+        order = str(exc)
+    return [seed, [list(p.images) for p in outcome.perms], list(outcome.boundary_perm.images), order]
+
+
+def answer_digest(answers) -> str:
+    """SHA-256 over the JSON lines of ``corpus_answer`` values."""
+    digest = hashlib.sha256()
+    for answer in answers:
+        digest.update(json.dumps(answer).encode() + b"\n")
+    return digest.hexdigest()
