@@ -16,14 +16,18 @@ point by point through every relator with ``tests/oracles.chase``, and the
 solution set is compared with a brute-force search.  Last it times
 ``minimal_extension_degree`` of the 2-strand standard cover into 100, 200 and
 400 strands (it extends on 2 sheets), and chases each witness through every
-braid relation of ``tests/oracles``.  A wrong ``b1``, coset count, braid
-solution or witness ends the script with a non-zero exit status.
+braid relation of ``tests/oracles``.  The deep-tree row extends a single
+8k- and 100k-cycle into the free group on its generator, whose breadth-first
+tree is half the sheet count deep, and prints the time and the
+``tracemalloc`` peak of a second, traced call.  A wrong ``b1``, coset count,
+braid solution or witness ends the script with a non-zero exit status.
 
 One SHA-256 covers every answer, read after the timed calls: ``b1``, the
 fiber map, the ``rho1`` images and the table rows of each ``weak_extend``;
 the rows and representative words of each ``todd_coxeter`` table; and the
 solution tuples of each ``hom_search``.  Equal digests mean equal answers.
-The ``minimal_extension_degree`` row is checked but left out of the digest.
+The ``minimal_extension_degree`` and deep-tree rows are checked but left
+out of the digest, so that it stays comparable across commits.
 
     python scripts/scale_groups.py
 """
@@ -35,6 +39,7 @@ import json
 import math
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +67,7 @@ SEED = 2015
 COXETER = (7, 8)
 BRAIDS = ((4, 4), (3, 5), (3, 6))  # (strands, degree)
 EXTENSION_STRANDS = (100, 200, 400)  # m_big for the 2-strand standard cover
+DEEP_CYCLES = (8000, 100000)  # single-cycle covers into <a>
 
 
 def timed(fn):
@@ -127,6 +133,20 @@ def main() -> None:
         ):
             raise SystemExit(f"minimal_extension_degree(standard_rep(2), {m_big}): wrong witness {images}")
         print(f"{m_big:>8} {t_ext:>20.3f} {res.degree:>7}", flush=True)
+    print(f"\n{'cycle':>8} {'weak_extend_s':>14} {'peak_mb':>8} {'b1':>8}")
+    free = Inclusion(("a",), {"a": Word.gen("a")}, Presentation.free(["a"]))
+    for b in DEEP_CYCLES:
+        rep = PermRep(b, {"a": Perm(tuple(range(1, b)) + (0,))})
+        res, t_weak = timed(lambda: weak_extend(rep, free))
+        if res.b1 != b:
+            raise SystemExit(f"wrong b1 for the {b}-cycle: {res.b1}")
+        tracemalloc.start()
+        try:
+            weak_extend(rep, free)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"{b:>8} {t_weak:>14.3f} {peak / 1e6:>8.1f} {res.b1:>8}", flush=True)
 
 
 if __name__ == "__main__":

@@ -15,11 +15,22 @@ Two complementary routes between subgroups and permutation actions:
 
 Both run on the integer columns that ``reps`` owns, numbered as the coset
 table numbers them: column ``2i`` is generator ``i`` and ``2i + 1`` its
-inverse, so free reduction cancels ``c`` against ``c ^ 1``.  ``todd_coxeter``
-compiles its words to columns once; ``pushed_coset_table`` pushes a
-stabilizer through a homomorphism given by word images and enumerates its
-cosets without building any word.  Words are spelled only when a caller
-reads them: ``StabilizerData.transversal`` and ``.generators`` and
+inverse, so free reduction cancels ``c`` against ``c ^ 1``.  The enumerator
+takes its subgroup as a graph over sheets whose edges are labelled by words,
+with sheet 0 at coset 0 (HLT from a partial table, ibid., ch. 5).
+``todd_coxeter``'s subgroup words are loops at sheet 0.
+``pushed_coset_table`` pushes a stabilizer through a homomorphism given by
+word images: it enters the stabilizer's spanning tree and other edges,
+labelled by the images, so the pushed subgroup's graph folds in the table
+(Stallings, "Topology of finite graphs", *Invent. Math.* 71, 1983) and no
+pushed word is built.  One scan routine serves the graph and the relators: it
+runs from a start coset to an end coset, and a relator is the case where the
+end is the start.  Each coset's relators are swept in one pass that walks
+them forward inline and scans only where a walk meets a gap or ends
+elsewhere.
+
+Words are spelled only when a caller reads them:
+``StabilizerData.transversal`` and ``.generators`` and
 ``CosetTable.rep_words`` are built on first access and cached.  A table's
 representative words are the paths of the breadth-first tree that numbered
 it, so they too depend only on the subgroup and the generator order.
@@ -65,14 +76,6 @@ def _inverse(cols: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([c ^ 1 for c in reversed(cols)])
 
 
-def _product(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """Freely reduced ``u * v`` of two freely reduced column tuples."""
-    k, n = 0, min(len(u), len(v))
-    while k < n and u[-1 - k] == v[k] ^ 1:
-        k += 1
-    return u[: len(u) - k] + v[k:]
-
-
 @dataclass(frozen=True)
 class StabilizerData:
     """Breadth-first spanning tree of a transitive action, for a point stabilizer.
@@ -89,27 +92,25 @@ class StabilizerData:
     tree: tuple[tuple[int, int, int], ...]
     edges: tuple[tuple[int, int, int], ...]
 
-    def _pushed(self, letter: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """Transversal and Schreier generator columns under the homomorphism
-        sending column ``c`` to the reduced column tuple ``letter[c]``.
+    def _pushed(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Transversal and Schreier generator columns.
 
-        ``transversal[t]`` is ``transversal[s] * letter[c]`` along the tree
-        edge into ``t``, and edge ``(s, c, t)`` gives the generator
-        ``transversal[s] * letter[c] * transversal[t]**-1``; each product is
-        freely reduced where its factors meet.  The homomorphism is applied
-        letter by letter and free reduction is confluent, so these are the
-        images of the source words, reduced.
+        ``transversal[t]`` is ``transversal[s] + (c,)`` along the tree edge
+        into ``t``, and edge ``(s, c, t)`` gives the generator
+        ``transversal[s] + (c,) + transversal[t]**-1``.  Both are freely
+        reduced as they stand: a tree path is, and an edge that is a tree edge
+        neither way round cancels against neither of its neighbours.
         """
         words: list[tuple[int, ...]] = [()] * (len(self.tree) + 1)
         for s, c, t in self.tree:
-            words[t] = _product(words[s], letter[c])
+            words[t] = words[s] + (c,)
         inverses = [_inverse(w) for w in words]
-        return words, [_product(_product(words[s], letter[c]), inverses[t]) for s, c, t in self.edges]
+        return words, [words[s] + (c,) + inverses[t] for s, c, t in self.edges]
 
     @cached_property
     def _source(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         """The source words' columns, pushed once for both word lists."""
-        return self._pushed([(c,) for c in range(2 * len(self.gen_names))])
+        return self._pushed()
 
     @cached_property
     def transversal(self) -> tuple[Word, ...]:
@@ -237,19 +238,32 @@ class _Enumerator:
     rows point only at live cosets, and ``rows[a][k] == b`` iff
     ``rows[b][inv[k]] == a``.
 
-    The relators and the subgroup's column sequences are compiled once:
-    each is freely reduced with ``g g`` cancelling for an involution ``g``,
-    and kept with its backward columns (the inverse of each letter), which
-    the scan reads from the right.
+    The subgroup comes as a graph over sheets, with sheet 0 at coset 0, whose
+    closed paths at sheet 0 spell the subgroup: ``tree[n] = (s, i)`` says
+    that word ``words[i]`` takes sheet ``s <= n`` to sheet ``n + 1``, and
+    each ``(s, i, t)`` of ``edges`` that ``words[i]`` takes sheet ``s`` to
+    sheet ``t``.  Subgroup words are loops at sheet 0 with no tree.
+
+    The relators and the words are compiled once: each is freely reduced
+    with ``g g`` cancelling for an involution ``g``, and kept with its
+    backward columns (the inverse of each letter), which the scan reads from
+    the right.
     """
 
-    def __init__(self, pres: Presentation, subgroup: Iterable[Sequence[int]], cap: int) -> None:
+    def __init__(
+        self,
+        pres: Presentation,
+        words: Iterable[Sequence[int]],
+        tree: Sequence[tuple[int, int]],
+        edges: Iterable[tuple[int, int, int]],
+        cap: int,
+    ) -> None:
         if cap < 1:
             raise ValueError("cap must be positive")
         self.gen_names = pres.generators
         self.cap = cap
         col_of = _column_of(pres.generators)
-        relators = [cols for r in pres.relators if (cols := _columns(r, col_of))]
+        relators = [_columns(r, col_of) for r in pres.relators]
         involutions = {cols[0] >> 1 for cols in relators if len(cols) == 2 and cols[0] == cols[1]}
         self.col: list[int] = []
         self.inv: list[int] = []
@@ -265,15 +279,17 @@ class _Enumerator:
         self.rows: list[list[int | None]] = [[None] * self.ncols]
         self.parent: list[int] = [0]
         self.alive = 1
-        self.relators = self._compiled(relators)
-        self.subgroup = self._compiled(subgroup)
+        self.relators = [r for r in self._compiled(relators) if r[0]]
+        self.words = self._compiled(words)
+        self.tree = tree
+        # each edge is scanned once the later of its two sheets has a coset
+        self.edges = sorted(edges, key=lambda e: e[0] if e[0] > e[2] else e[2])
 
     def _compiled(self, words: Iterable[Sequence[int]]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Each word's freely reduced columns and backward columns; empty words
-        are dropped.  The words come freely reduced, so only an involution's
-        ``g g`` can newly cancel; without involutions the enumerator's
-        columns are the ``reps`` columns, and the words are taken as they
-        are."""
+        """Each word's freely reduced columns and backward columns.  The words
+        come freely reduced, so only an involution's ``g g`` can newly
+        cancel; without involutions the enumerator's columns are the ``reps``
+        columns, and the words are taken as they are."""
         col, inv = self.col, self.inv
         out = []
         for word in words:
@@ -288,8 +304,7 @@ class _Enumerator:
                     else:
                         stack.append(k)
                 cols = tuple(stack)
-            if cols:
-                out.append((cols, tuple([inv[k] for k in cols])))
+            out.append((cols, tuple([inv[k] for k in cols])))
         return out
 
     def rep(self, c: int) -> int:
@@ -340,11 +355,12 @@ class _Enumerator:
                     rows[mu][k] = nu
                     rows[nu][inv[k]] = mu
 
-    def _scan(self, a: int, cols: Sequence[int], back: Sequence[int], fill: bool) -> None:
-        """Scan ``cols`` at live coset ``a``; with ``fill``, define cosets to bridge a gap."""
+    def _scan(self, a: int, b: int, cols: Sequence[int], back: Sequence[int], fill: bool) -> None:
+        """Scan ``cols`` from live coset ``a`` to live coset ``b`` (a relator
+        scans from ``a`` to ``a``); with ``fill``, define cosets to bridge a gap."""
         rows = self.rows  # only _compact replaces the table, and it never runs inside a scan
         i, j = 0, len(cols) - 1
-        f = b = a
+        f = a
         while True:
             while i <= j and (d := rows[f][cols[i]]) is not None:
                 f = d
@@ -367,14 +383,61 @@ class _Enumerator:
                 return
             self._define(f, cols[i])
 
+    def _sweep(self, a: int, fill: bool) -> int:
+        """Scan every relator at live coset ``a``; returns ``a``'s representative.
+
+        Each relator is walked forward inline, and ``_scan`` runs only where
+        the walk meets a gap or ends at another coset; the representative is
+        recomputed only after such a call.  With ``fill`` the sweep goes on
+        at the representative when ``a`` dies; without it, it stops there."""
+        rows = self.rows
+        c = a
+        for cols, back in self.relators:
+            d: int | None = c
+            for k in cols:
+                d = rows[d][k]  # type: ignore[index]
+                if d is None:
+                    break
+            if d != c:
+                self._scan(c, c, cols, back, fill)
+                c = self.rep(a)
+                if c != a and not fill:
+                    break
+        return c
+
+    def _push_subgroup(self) -> None:
+        """Enter the subgroup graph: trace each tree edge's word from its
+        parent sheet's coset, defining cosets where needed, and scan each
+        other edge from the coset of its first sheet to that of its second,
+        filling gaps, as soon as both sheets have cosets.  On a table that
+        already holds the graph this defines nothing, so a retry after a cap
+        hit walks it again."""
+        coset = [0]  # of each sheet, as traced; read through rep
+        rep = self.rep
+        for s, i, t in self.edges:
+            while len(coset) <= s or len(coset) <= t:
+                self._trace(coset)
+            cols, back = self.words[i]
+            self._scan(rep(coset[s]), rep(coset[t]), cols, back, fill=True)
+        while len(coset) <= len(self.tree):
+            self._trace(coset)
+
+    def _trace(self, coset: list[int]) -> None:
+        """Append the coset of the next sheet: its tree edge's word, walked
+        from the parent sheet's coset, with a coset defined at each gap."""
+        rows = self.rows
+        s, i = self.tree[len(coset) - 1]
+        a = self.rep(coset[s])
+        for k in self.words[i][0]:
+            if rows[a][k] is None:
+                self._define(a, k)
+            a = rows[a][k]  # type: ignore[assignment]
+        coset.append(a)
+
     def _lookahead(self) -> None:
         for c in range(len(self.rows)):
-            if self.parent[c] != c:
-                continue
-            for cols, back in self.relators:
-                self._scan(c, cols, back, fill=False)
-                if self.parent[c] != c:
-                    break
+            if self.parent[c] == c:
+                self._sweep(c, fill=False)
 
     def _compact(self) -> dict[int, int]:
         """Renumber the live cosets in order; returns the old-to-new map."""
@@ -399,9 +462,8 @@ class _Enumerator:
         out = []
         for x in order:  # the order grows while it is walked
             row = rows[x]
-            for k in range(self.ncols):
-                y: int = row[k]  # type: ignore[assignment]
-                if new[y] < 0:
+            for y in row:
+                if new[y] < 0:  # type: ignore[index]
                     new[y] = len(order)
                     order.append(y)
             out.append(tuple([new[row[k]] for k in col]))  # type: ignore[index]
@@ -416,13 +478,12 @@ class _Enumerator:
                 alpha += 1
                 continue
             try:
-                for cols, back in self.subgroup if alpha == 0 else ():
-                    self._scan(0, cols, back, fill=True)
-                for cols, back in self.relators:
-                    self._scan(self.rep(alpha), cols, back, fill=True)
-                c = self.rep(alpha)
+                if alpha == 0:
+                    self._push_subgroup()
+                c = self._sweep(alpha, fill=True)
+                row = self.rows[c]
                 for k in range(self.ncols):
-                    if self.rows[c][k] is None:
+                    if row[k] is None:
                         self._define(c, k)
             except _CapHit:
                 before = self.alive
@@ -450,18 +511,33 @@ def pushed_coset_table(
     source generator ``name`` to ``images[name]``, a word in the target's
     generators, and the coset of each image transversal word.
 
-    Each image is compiled to columns once; the Schreier generators are
-    pushed and enumerated as columns, so no word is built.  The table is in
-    standard form and equals ``todd_coxeter(target, pushed generator words)``.
+    Each image is compiled to columns once, and the stabilizer's graph goes
+    into the enumerator where ``todd_coxeter``'s subgroup words go: each tree
+    edge's image is traced from its parent sheet's coset, defining cosets
+    where needed, and each other edge's image is scanned between the cosets
+    of its two sheets as soon as both have one, so that cycles fold as early
+    as the pushed words would fold them.  No pushed word is built, so the
+    memory stays linear in the sheet count however deep the tree.  The fiber
+    map walks the tree edges' images through the finished table.  The table
+    is in standard form and equals ``todd_coxeter(target, pushed generator
+    words)``.
     """
     col_of = _column_of(target.generators)
     letter = []
     for name in stab.gen_names:
         image = _columns(images[name], col_of)
         letter += [image, _inverse(image)]
-    transversal, generators = stab._pushed(letter)
-    table = _Enumerator(target, generators, cap).run()
-    return table, tuple(table._walk(0, t) for t in transversal)
+    order = [stab.base_point] + [t for _, _, t in stab.tree]
+    sheet = [0] * len(order)  # the enumerator numbers the sheets in tree order
+    for n, x in enumerate(order):
+        sheet[x] = n
+    tree = [(sheet[s], c) for s, c, _ in stab.tree]
+    edges = [(sheet[s], c, sheet[t]) for s, c, t in stab.edges]
+    table = _Enumerator(target, letter, tree, edges, cap).run()
+    fiber = [0] * len(order)
+    for s, c, t in stab.tree:
+        fiber[t] = table._walk(fiber[s], letter[c])
+    return table, tuple(fiber)
 
 
 def todd_coxeter(
@@ -476,6 +552,10 @@ def todd_coxeter(
     A generator ``g`` with a relator ``g^2`` or ``g^-2`` is enumerated on one
     column that is its own inverse: ``g^2`` then holds by construction, and
     every relator and subgroup word is freely reduced with ``g g`` cancelling.
+    The subgroup words are scanned first, as loops at coset 0, filling gaps;
+    then each live coset in turn has its relators swept in one pass (walked
+    forward, scanned only at a gap or a wrong end) and its empty entries
+    defined.
 
     Returns the completed table (coset 0 = subgroup) in standard form, two
     columns per generator, with one representative word per coset taken from
@@ -484,4 +564,5 @@ def todd_coxeter(
     lookahead/compaction pass.
     """
     col_of = _column_of(pres.generators)
-    return _Enumerator(pres, [_columns(w, col_of) for w in subgroup], cap).run()
+    words = [_columns(w, col_of) for w in subgroup]
+    return _Enumerator(pres, words, (), [(0, i, 0) for i in range(len(words))], cap).run()

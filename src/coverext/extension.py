@@ -14,10 +14,12 @@ is computed combinatorially:
    map (base sheet ``s`` goes to the coset of ``iota(transversal word of s)``).
 
 Steps 2 and 3 run on integer coset-table columns
-(``cosets.pushed_coset_table``): each image is compiled once, and each pushed
-generator is the concatenation of image columns, freely reduced once.  The
-stabilizer words of ``ExtensionResult.stabilizer`` are spelled only when a
-caller reads them.
+(``cosets.pushed_coset_table``): each image is compiled once, and the
+stabilizer's spanning tree and other edges, labelled by the images, go into
+the coset enumerator as a graph, so no pushed generator word is built and
+the memory stays linear in the sheet count.  The fiber map walks the tree
+edges' images through the finished table.  The stabilizer words of
+``ExtensionResult.stabilizer`` are spelled only when a caller reads them.
 
 The extension is *strong* exactly when the fiber map is injective, i.e.
 ``b1 == b0``; it always satisfies ``b1 <= b0`` when the fiber map is onto.

@@ -121,9 +121,9 @@ def test_stabilizer_words_push_the_source_once(monkeypatch):
     pushes = []
     real = StabilizerData._pushed
 
-    def counted(self, letter):
-        pushes.append(letter)
-        return real(self, letter)
+    def counted(self):
+        pushes.append(self)
+        return real(self)
 
     monkeypatch.setattr(StabilizerData, "_pushed", counted)
     rep = PermRep(3, {"a": Perm.from_images([1, 2, 0]), "b": Perm.from_images([1, 0, 2])})
@@ -132,9 +132,10 @@ def test_stabilizer_words_push_the_source_once(monkeypatch):
     assert len(stab.transversal) == 3
     assert len(pushes) == 1
     pushes.clear()
-    # the extension runner pushes once through the inclusion and once for the words
+    # the extension runner spells the words once; the inclusion pushes the
+    # stabilizer's graph into the enumerator, not its words
     assert run_bundled("two_sheet_extension").status == "ok"
-    assert len(pushes) == 2
+    assert len(pushes) == 1
 
 
 def test_schreier_requires_transitive():
@@ -403,3 +404,72 @@ def test_s7_makes_half_the_definitions_on_involution_columns(monkeypatch):
     assert todd_coxeter(coxeter_presentation(7)).index == 5040
     # HLT with a column and an inverse column per generator needs 12,642
     assert defined == 6032
+
+
+def test_s7_hlt_trajectory_is_pinned(monkeypatch):
+    """HLT on S7 over the trivial subgroup makes the definitions and
+    coincidences that README and ROADMAP quote, so the one-pass relator
+    sweep left the strategy as it was."""
+    calls = {"_define": 0, "_coincide": 0}
+    for name in calls:
+        real = getattr(cosets._Enumerator, name)
+
+        def counting(self, a, b, name=name, real=real):
+            calls[name] += 1
+            real(self, a, b)
+
+        monkeypatch.setattr(cosets._Enumerator, name, counting)
+    assert todd_coxeter(coxeter_presentation(7)).index == 5040
+    assert calls == {"_define": 6032, "_coincide": 983}
+
+
+CAP_CASES = [
+    # a 6-cycle into C4 with a -> g^3: index 2, the tree defines 3 cosets per sheet
+    (PermRep(6, {"a": Perm.from_images([1, 2, 3, 4, 5, 0])}),
+     Inclusion(("a",), {"a": Word.gen("g", 3)}, Presentation(("g",), (Word.gen("g", 4),)))),
+    # a 4-sheet cover onto S4: index 4
+    (PermRep(4, {"a": Perm.from_images([1, 2, 3, 0]), "b": Perm.from_images([3, 1, 2, 0])}),
+     Inclusion(("a", "b"), {"a": parse_word("s2^-1 s3 s1^-1"), "b": parse_word("s3^-1 s2 s3^-1")},
+               coxeter_presentation(4))),
+]
+
+
+def test_a_cap_hit_in_the_graph_phase_restarts_to_the_same_answer(monkeypatch):
+    """A cap below the graph phase's own peak stops the enumerator there; the
+    lookahead, the compaction and a second push of the graph must give the
+    uncapped rows, fiber map and action."""
+    seen = {"peak": 0, "hits": 0}
+    in_graph = False
+    real_push, real_define = cosets._Enumerator._push_subgroup, cosets._Enumerator._define
+
+    def push(self):
+        nonlocal in_graph
+        in_graph = True
+        try:
+            real_push(self)
+        finally:
+            in_graph = False
+
+    def define(self, a, k):
+        try:
+            real_define(self, a, k)
+        except cosets._CapHit:
+            seen["hits"] += in_graph
+            raise
+        if in_graph:
+            seen["peak"] = max(seen["peak"], self.alive)
+
+    monkeypatch.setattr(cosets._Enumerator, "_push_subgroup", push)
+    monkeypatch.setattr(cosets._Enumerator, "_define", define)
+    for rho0, inc in CAP_CASES:
+        seen.update(peak=0, hits=0)
+        free = weak_extend(rho0, inc)
+        peak = seen["peak"]
+        assert seen["hits"] == 0 and peak > free.b1 + 2, (free.b1, peak)
+        for cap in range((free.b1 + peak) // 2, peak):
+            seen["hits"] = 0
+            capped = weak_extend(rho0, inc, cap=cap)
+            assert seen["hits"] >= 1, cap
+            assert capped.table.rows == free.table.rows
+            assert capped.fiber_map == free.fiber_map
+            assert capped.rho1 == free.rho1

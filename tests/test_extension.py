@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from time import perf_counter
 
 import numpy as np
@@ -169,6 +170,27 @@ def test_weak_extend_10k_sheets_within_budget():
     assert sorted(res.fiber_map) == list(range(10_000))
     assert len(res.stabilizer.generators) == 10_001
     assert dt < 10.0, f"weak_extend on 10k sheets took {dt:.1f}s"
+
+
+def test_weak_extend_of_a_deep_tree_is_linear_in_time_and_memory():
+    # A single 8000-cycle has a breadth-first tree 4000 deep.  Pushing every
+    # transversal word through the inclusion would hold words of that length
+    # for each sheet, about 270 MB.
+    n = 8000
+    rho0 = PermRep(n, {"a": Perm.from_images([(i + 1) % n for i in range(n)])})
+    inc = Inclusion(("a",), {"a": parse_word("a")}, Presentation.free(["a"]))
+    t0 = perf_counter()
+    res = weak_extend(rho0, inc)
+    dt = perf_counter() - t0
+    assert res.b1 == n and res.strong
+    assert dt < 0.5, f"weak_extend of an {n}-cycle took {dt:.2f}s"
+    tracemalloc.start()
+    try:
+        weak_extend(rho0, inc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"weak_extend of an {n}-cycle peaked at {peak / 1e6:.0f} MB"
 
 
 def _two_sheet_survivors_by_brute_force(k):
