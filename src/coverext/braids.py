@@ -11,11 +11,11 @@ the searches read them directly, so neither builds a word.  ``_assignments``
 files each relator once, under the generator that completes its support.
 
 ``hom_search`` enumerates *all* homomorphisms into a symmetric group with some
-generator images pinned; every accepted or rejected candidate is judged by two
-independent relator evaluators, and a disagreement aborts the search, so the
-returned list is exhaustive by construction.  Composition reads each image
-and its inverse column; point chasing reads only the images and inverts with
-``row.index``, so a wrong inverse table cannot fool both.
+generator images pinned.  Every candidate the search tries is judged by two
+independent relator evaluators, and a disagreement aborts the search.
+Composition reads each image and its inverse column; point chasing reads only
+the images and inverts with ``row.index``, so a wrong inverse table cannot
+fool both.
 
 Every generator is conjugate to ``s1``: the braid relation gives
 ``s_{i+1} = (s_i s_{i+1}) s_i (s_i s_{i+1})^-1``.  So a homomorphism into S_d
@@ -23,6 +23,15 @@ sends all generators into one conjugacy class, that is, one cycle type, and
 both searches draw a generator's candidates from a single class.  An
 assignment that mixes classes breaks some braid relation, so skipping those
 candidates loses no solution.
+
+With nothing pinned, ``hom_search`` runs up to simultaneous conjugation.
+Conjugating every image by one h in S_d keeps every relator, so it maps
+homomorphisms to homomorphisms one to one.  Per class, only the solutions
+with ``s1`` on the class's first member r are searched and judged.  For each
+member x, a relabelling h with ``h r h^-1 = x``, read off the cycles of r and
+x in O(d), carries them exactly onto the solutions with ``s1 = x``.  The
+copies need no second judgement, and the union over all members and classes
+lists every homomorphism once.
 """
 
 from __future__ import annotations
@@ -202,6 +211,61 @@ def _conjugacy_classes(degree: int) -> dict[tuple[int, ...], list[tuple[int, ...
     return classes
 
 
+def _cycle_sequence(images: Sequence[int]) -> list[int]:
+    """The points of a raw image tuple cycle by cycle, fixed points included,
+    each cycle from its least point, longer cycles first and equal lengths
+    by least point.  Two conjugate permutations give sequences of the same
+    shape, so matching them point by point relabels one into the other."""
+    seen = [False] * len(images)
+    cycles = []
+    for start in range(len(images)):
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = images[x]
+        if cycle:
+            cycles.append(cycle)
+    cycles.sort(key=len, reverse=True)  # stable, so ties stay by least point
+    return [x for cycle in cycles for x in cycle]
+
+
+def _relabelling(source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
+    """A permutation h with ``h r h^-1 = x``, from the cycle sequences of r
+    and x: h sends ``source[i]`` to ``target[i]``, so it carries each cycle
+    of r onto the cycle of x in the same place, and ``x(h(p)) = h(r(p))``
+    for every point p."""
+    h = [0] * len(source)
+    for a, b in zip(source, target):
+        h[a] = b
+    return tuple(h)
+
+
+def _conjugacy_search(
+    degree: int, relators: Sequence[tuple[int, ...]], gens: int
+) -> list[dict[int, tuple[int, ...]]]:
+    """Every assignment of ``gens`` generators, keyed 0..gens-1, that keeps
+    all relators, up to simultaneous conjugation (see :func:`hom_search`):
+    per class, the search with generator 0 on the first member r, then one
+    relabelled copy of its solutions for every member x."""
+    solutions = []
+    for members in _conjugacy_classes(degree).values():
+        r = members[0]
+        found = list(_assignments(degree, relators, {0: r}, [(g, members) for g in range(1, gens)]))
+        if not found:
+            continue
+        source = _cycle_sequence(r)
+        for x in members:
+            h = _relabelling(source, _cycle_sequence(x))
+            h_inv = inverse_images(h)
+            solutions.extend(
+                {g: tuple(map(h.__getitem__, map(img.__getitem__, h_inv))) for g, img in sol.items()}
+                for sol in found
+            )
+    return solutions
+
+
 def hom_search(
     m: int,
     degree: int,
@@ -213,16 +277,24 @@ def hom_search(
     ``pinned`` fixes the images of some generators.  Since every generator is
     conjugate to ``s1``, all images of a homomorphism share one cycle type:
     the free generators range over one conjugacy class of S_degree at a
-    time, or only over the class of a pinned image.  The search is still
-    exhaustive; pins of different classes leave no solution, which the
-    relators find.  Candidates are pruned as soon as a relator with fully
-    assigned support fails (both evaluators are consulted at every check, and
-    each relator is checked once per partial assignment).  Solutions come
-    sorted by their images in generator order.  Raises :class:`CapExceeded`
-    when the raw space of ``(degree!)^free`` assignments exceeds ``cap``,
-    before any relator or candidate is built.  With every generator pinned
-    only the relators are checked.  Into S_0 or S_1 the one homomorphism is
-    returned without building the relators.
+    time, or only over the class of a pinned image.  Pins of different
+    classes leave no solution, which the relators find.  Candidates are
+    pruned as soon as a relator with fully assigned support fails (both
+    evaluators are consulted at every check, and each relator is checked
+    once per partial assignment).
+
+    With nothing pinned the search runs up to simultaneous conjugation:
+    for each class only the solutions T_r with ``s1`` on its first member r
+    are searched and judged.  For every member x, a relabelling h with
+    ``h r h^-1 = x`` carries T_r onto the solutions with ``s1 = x``, one to
+    one, since an inner automorphism of S_degree keeps every relator; those
+    copies are not judged again.
+
+    Solutions come sorted by their images in generator order.  Raises
+    :class:`CapExceeded` when the raw space of ``(degree!)^free`` assignments
+    exceeds ``cap``, before any relator or candidate is built.  With every
+    generator pinned only the relators are checked.  Into S_0 or S_1 the one
+    homomorphism is returned without building the relators.
     """
     if m < 1:
         raise ValueError("need at least one strand")
@@ -243,18 +315,13 @@ def hom_search(
     if degree <= 1:  # the one map into the trivial group; every relator holds
         return (dict.fromkeys((f"s{g + 1}" for g in [*fixed, *free_gens]), Perm.identity(degree)),)
 
-    if not free_gens:  # only the relators on the pins are checked
-        classes: list[list[tuple[int, ...]]] = [[]]
-    elif fixed:
-        classes = [_conjugacy_classes(degree)[cycle_type_of(next(iter(fixed.values())))]]
-    else:
-        classes = list(_conjugacy_classes(degree).values())
     relators = _braid_relators(m)
-    solutions = [
-        sol
-        for members in classes
-        for sol in _assignments(degree, relators, fixed, [(g, members) for g in free_gens])
-    ]
+    if fixed or not free_gens:
+        # only the relators on the pins are checked when nothing is free
+        members = _conjugacy_classes(degree)[cycle_type_of(next(iter(fixed.values())))] if free_gens else []
+        solutions = list(_assignments(degree, relators, fixed, [(g, members) for g in free_gens]))
+    else:
+        solutions = _conjugacy_search(degree, relators, m - 1)
     solutions.sort(key=lambda sol: tuple(sol[g] for g in range(m - 1)))
     names = braid_generator_names(m)
     return tuple({names[g]: Perm(img) for g, img in sol.items()} for sol in solutions)
