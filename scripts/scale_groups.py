@@ -34,6 +34,7 @@ out of the digest, so that it stays comparable across commits.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -103,6 +104,10 @@ def main() -> None:
             raise SystemExit(f"wrong index for S{n}: {table.index} != {math.factorial(n)}")
         record(n, table.rows, [format_word(w) for w in table.rep_words])
         print(f"{'S' + str(n):>8} {t_tc:>15.3f} {table.index:>8}", flush=True)
+    # Drop the 100k-sheet cover and the S8 table before the braid rows, so
+    # that a collector pass over their millions of tuples is not timed there.
+    del images, rep, res, pres, table
+    gc.collect()
     print(f"\n{'strands':>8} {'degree':>7} {'hom_search_s':>13} {'solutions':>10} {'brute_force_s':>14}")
     for m, degree in BRAIDS:
         sols, t_hom = timed(lambda: hom_search(m, degree))

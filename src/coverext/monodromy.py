@@ -13,14 +13,17 @@ recompute that bijection.  Path nodes are spaced by one local rule, 0.35 x
 the distance to the nearest branch point (at least the smallest lasso radius)
 over ``refine``.  Fibers are continued along the paths by a
 predictor-corrector: a secant through the last two accepted fibers predicts
-each sheet, and Newton corrects it.  A step is accepted only if no sheet
-moved more than a third of its own distance to the nearest other sheet of the
-previous fiber, measured from that fiber and not from the prediction;
-otherwise it is bisected.  So sheet identities cannot be exchanged silently
-(the triangle-inequality argument is in :func:`track_path`), and the
-predictor only saves Newton steps and bisections.  Each sheet answers to its
-own spacing, so a fast sheet far from the others does not force the step down
-to the separation of two slow ones.
+each sheet, and Newton corrects it, stopping on a step below 1e-13 relative
+or on a quadratic contraction whose error estimate is below that (branch
+point refinement keeps the first rule alone, as its bits reach the
+reports).  A step is accepted only if no sheet moved more than a third of
+its own distance to the nearest other sheet of the previous fiber, measured
+from that fiber and not from the prediction; otherwise it is bisected.  So
+sheet identities cannot be exchanged silently (the triangle-inequality
+argument is in :func:`track_path`), and the predictor only saves Newton
+steps and bisections.  Each sheet answers to its own spacing, so a fast
+sheet far from the others does not force the step down to the separation of
+two slow ones.
 
 Sheet indices always refer to the basepoint fiber sorted by (real, imag).
 """
@@ -114,14 +117,15 @@ def _newton_terms(coeffs: Sequence[complex]) -> list[tuple[complex, complex]]:
     return [(coeffs[k], k * coeffs[k]) for k in range(len(coeffs) - 1, 0, -1)]
 
 
-def _newton(
-    terms: Sequence[tuple[complex, complex]], c0: complex, w: complex, max_iter: int = 30
-) -> complex | None:
-    """Newton's iteration from w on the polynomial with Horner ``terms``
-    (:func:`_newton_terms`) and constant ``c0``; None unless a step shrinks
-    below 1e-13 relative within ``max_iter`` steps.  One Horner loop
-    evaluates p and p' together, each with the operations of its own Horner
-    evaluation."""
+def _newton_w(coeffs: Sequence[complex], w: complex, max_iter: int = 30) -> complex | None:
+    """Newton's iteration from w on the polynomial with constant-first
+    ``coeffs`` (in w or in z); None unless a step shrinks below 1e-13
+    relative within ``max_iter`` steps.  One Horner loop evaluates p and p'
+    together, each with the operations of its own Horner evaluation.
+    Nothing is coerced: ``branch_points`` refines numpy scalars, whose bits
+    reach the reports, so this keeps the plain step-size stop and not the
+    tracker's contraction stop (:func:`track_path`)."""
+    terms, c0 = _newton_terms(coeffs), coeffs[0]
     for _ in range(max_iter):
         p = d = 0j
         for c, kc in terms:
@@ -135,13 +139,6 @@ def _newton(
         if abs(step) < 1e-13 * (1.0 + abs(w)):
             return w
     return None
-
-
-def _newton_w(coeffs: Sequence[complex], w: complex, max_iter: int = 30) -> complex | None:
-    """:func:`_newton` on the polynomial with constant-first ``coeffs`` (in w
-    or in z).  Nothing is coerced: ``branch_points`` refines numpy scalars,
-    whose bits reach the reports."""
-    return _newton(_newton_terms(coeffs), coeffs[0], w, max_iter)
 
 
 def _clusters(points: Sequence[complex], tol: float) -> list[list[int]]:
@@ -242,6 +239,35 @@ def _reach(fiber: Sequence[complex]) -> list[float]:
     return [r / 3 for r in near]
 
 
+def _correct(terms: Sequence[tuple[complex, complex]], c0: complex, w: complex) -> complex | None:
+    """The tracker's Newton corrector from w on the polynomial with Horner
+    ``terms`` (:func:`_newton_terms`) and constant ``c0``, None unless it
+    stops within 30 steps.  It stops after a step s_k when s_k < tol =
+    1e-13 (1 + |w|), as :func:`_newton_w` does, or when the steps contract
+    quadratically: s_k < s_{k-1} / 4 and (s_k / s_{k-1})^2 s_k < tol, the
+    quadratic estimate of the error left after s_k (s_k^3 < tol s_{k-1}^2,
+    written so that no cube or square can overflow).  Under linear
+    convergence (a double root) the ratio stays near 1/2 and only the first
+    rule can stop it."""
+    prev = 0.0
+    for _ in range(30):
+        p = d = 0j
+        for c, kc in terms:
+            p = p * w + c
+            d = d * w + kc
+        p = p * w + c0
+        if d == 0:
+            return None
+        step = p / d
+        w = w - step
+        size = abs(step)
+        tol = 1e-13 * (1.0 + abs(w))
+        if size < tol or (size < prev / 4 and size * (size / prev) ** 2 < tol):
+            return w
+        prev = size
+    return None
+
+
 def track_path(
     cover: CoverSlice,
     nodes: Sequence[complex],
@@ -268,18 +294,33 @@ def track_path(
     Newton starts changes only how fast it converges: the acceptance test
     still measures the move from w_i, so the argument above is unchanged.
 
+    Newton (:func:`_correct`) stops after a step s_k when s_k < tol =
+    1e-13 (1 + |w|), or when s_k < s_{k-1} / 4 and s_k^3 < tol s_{k-1}^2:
+    under quadratic convergence the error left after s_k is about
+    (s_k / s_{k-1}^2) s_k^2, so the step that would only confirm it is
+    skipped.  At a double root convergence is linear, the ratio stays near
+    1/2, and a path through a branch point still fails at ``MAX_DEPTH``.
+    :func:`_newton_w` keeps the first rule alone, because the branch points
+    it refines reach the reports bit for bit; the tracked fibers reach none.
+
     The corrector works on Python complex values: the w-coefficients at z
-    and their Newton terms are evaluated once per step, and the limits
-    r_i / 3 are recomputed only when a step is accepted.
+    are evaluated by Horner inline, they and their Newton terms once per
+    step, and the limits r_i / 3 are recomputed only when a step is
+    accepted.
     """
-    rows = cover.poly.w_coeffs
+    rows = [row.coeffs[::-1] for row in cover.poly.w_coeffs]  # top degree first, for Horner
     fiber = [complex(w) for w in start_fiber]
     reach = _reach(fiber)
     back: tuple[complex, list[complex]] | None = None  # the fiber accepted before ``fiber``
 
     def advance(z_to: complex, depth: int, z_from: complex) -> None:
         nonlocal fiber, reach, back
-        coeffs = [row(z_to) for row in rows]
+        coeffs = []
+        for row in rows:
+            v = 0j
+            for c in row:
+                v = v * z_to + c
+            coeffs.append(v)
         terms, c0 = _newton_terms(coeffs), coeffs[0]
         if back is None or back[0] == z_from:
             guesses = fiber
@@ -288,7 +329,7 @@ def track_path(
             guesses = [w + (w - v) * t for w, v in zip(fiber, back[1])]
         corrected: list[complex] = []
         for w, guess, limit in zip(fiber, guesses, reach):
-            w2 = _newton(terms, c0, guess if abs(guess - w) < limit else w)
+            w2 = _correct(terms, c0, guess if abs(guess - w) < limit else w)
             if w2 is None or abs(w2 - w) >= limit:
                 break
             corrected.append(w2)
@@ -316,7 +357,16 @@ def _step_rule(branch: Sequence[complex], radii: Sequence[float], refine: int) -
     point (the radius of the disc where the sheets are analytic), never less
     than 0.35 x the smallest lasso radius, divided by ``refine``."""
     floor = min(radii, default=math.inf)
-    return lambda z: 0.35 * max(floor, min((abs(z - c) for c in branch), default=math.inf)) / refine
+
+    def step(z: complex) -> float:
+        near = math.inf
+        for c in branch:
+            gap = abs(z - c)
+            if gap < near:
+                near = gap
+        return 0.35 * max(floor, near) / refine
+
+    return step
 
 
 def _nodes(point: Callable[[float], complex], length: float, step: Step) -> list[complex]:
@@ -324,9 +374,11 @@ def _nodes(point: Callable[[float], complex], length: float, step: Step) -> list
     each placed ``step(z)`` past the previous node z; the last is ``point(1)``."""
     out: list[complex] = []
     s = 0.0
+    z = point(0.0)
     while s < length:
-        s = min(length, s + step(point(s / length)))
-        out.append(point(s / length))
+        s = min(length, s + step(z))
+        z = point(s / length)
+        out.append(z)
     return out
 
 

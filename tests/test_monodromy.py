@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
 from time import perf_counter
 
 import numpy as np
 import pytest
 
-from coverext.cpoly import BivarPoly, CPoly
+from coverext.cpoly import RESIDUAL_TOL, BivarPoly, CPoly, eval_scale
 from coverext.errors import DegenerateCover, NumericFailure
 from coverext import monodromy
 from coverext.monodromy import (
@@ -441,19 +442,60 @@ def test_corpus_answers_are_pinned(corpus):
     assert answer_digest(corpus_answer(seed, corpus[seed]) for seed in CORPUS) == CORPUS_DIGEST
 
 
-@pytest.mark.parametrize(
-    "case", [pytest.param(c, id=n) for c, n in ((CUBIC, "cubic"), (GALOIS, "galois"), (STEIN, "stein"))]
-    + list(range(100, 106)),
-)
+# the three bundled slices and the first six corpus covers
+SLICE_CASES = [CUBIC, GALOIS, STEIN, *range(100, 106)]
+SLICE_IDS = ["cubic", "galois", "stein", *map(str, range(100, 106))]
+# SHA-256 of the _loops node lists of the SLICE_CASES, in order: the node
+# spacing must place exactly these nodes, bit for bit
+LOOP_NODES_DIGEST = "9e4ba34e3145624e2e9cec659f8528cd329a4c1fab3d74fba8d02aceadb53fe3"
+
+
+def _slice_case(corpus, case):
+    """(cover, full_monodromy of it) for one of the SLICE_CASES."""
+    if isinstance(case, int):
+        return CoverSlice(BivarPoly.from_lists(generic_cover_rows(case))), _solved(corpus, case)
+    return case, full_monodromy(case)
+
+
+@pytest.mark.parametrize("case", SLICE_CASES, ids=SLICE_IDS)
 def test_tracking_the_return_legs_gives_the_same_permutations(corpus, case):
     # full_monodromy reads each permutation on the lasso circle; tracking
     # the closed loop back to the basepoint and matching there must agree
-    if isinstance(case, int):
-        cover, mono = CoverSlice(BivarPoly.from_lists(generic_cover_rows(case))), _solved(corpus, case)
-    else:
-        cover, mono = case, full_monodromy(case)
+    cover, mono = _slice_case(corpus, case)
     got = [monodromy._match_perm(mono.fiber, track_path(cover, nodes, mono.fiber)) for nodes in _closed_loops(mono)]
     assert got == [*mono.perms, mono.boundary_perm]
+
+
+def test_loop_node_lists_are_pinned(corpus):
+    digest = hashlib.sha256()
+    for case in SLICE_CASES:
+        _, mono = _slice_case(corpus, case)
+        for approach, turn in _loops(mono.basepoint, mono.branch, mono.radii, 1):
+            for leg in (approach, turn):
+                digest.update(np.array(leg, dtype=complex).tobytes())
+                digest.update(b"|")
+    assert digest.hexdigest() == LOOP_NODES_DIGEST
+
+
+@pytest.mark.parametrize("case", SLICE_CASES, ids=SLICE_IDS)
+def test_tracked_fibers_keep_full_accuracy(corpus, case):
+    # the corrector may stop on quadratic contraction before a step falls
+    # below 1e-13 relative; every fiber it hands on must still be a root
+    # set to working accuracy, sheet for sheet the one a cold solve finds
+    cover, mono = _slice_case(corpus, case)
+    for approach, turn in _loops(mono.basepoint, mono.branch, mono.radii, 1):
+        entry = track_path(cover, approach, mono.fiber)
+        for z, fiber in ((approach[-1], entry), (turn[-1], track_path(cover, turn, entry))):
+            p = cover.poly.at_z(z)
+            cold = cover.fiber(z)
+            matched = []
+            for w in fiber:
+                assert abs(p(w)) <= RESIDUAL_TOL * eval_scale(p, w)
+                dists = [abs(w - v) for v in cold]
+                j = dists.index(min(dists))
+                assert dists[j] <= 1e-10 * (1.0 + abs(w))
+                matched.append(j)
+            assert sorted(matched) == list(range(len(cold)))
 
 
 def test_repeated_nodes_return_the_start_fiber():
