@@ -23,9 +23,7 @@ from .errors import (
 from .extension import (
     ExtensionResult,
     Inclusion,
-    MaximalityVerdict,
     abelianized_surjective,
-    maximality_check,
     two_sheet_unique,
     weak_extend,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "ExtensionResult",
     "Inclusion",
     "LeviData",
-    "MaximalityVerdict",
     "MinimalExtensionResult",
     "MonodromyResult",
     "NotSmooth",
@@ -84,7 +81,6 @@ __all__ = [
     "hom_search",
     "levi_matrix",
     "levi_signature",
-    "maximality_check",
     "minimal_extension_degree",
     "parse_word",
     "rho_alpha",

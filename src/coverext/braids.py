@@ -43,7 +43,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .cosets import Presentation
 from .errors import CapExceeded
-from .perms import Perm, cycle_type_of, inverse_images
+from .perms import Perm, cycle_type_of, cycles_of, inverse_images
 from .reps import PermRep, _breadth_first, _column_of, _columns, _image_columns, _spell
 from .words import Word
 
@@ -212,22 +212,11 @@ def _conjugacy_classes(degree: int) -> dict[tuple[int, ...], list[tuple[int, ...
 
 
 def _cycle_sequence(images: Sequence[int]) -> list[int]:
-    """The points of a raw image tuple cycle by cycle, fixed points included,
-    each cycle from its least point, longer cycles first and equal lengths
-    by least point.  Two conjugate permutations give sequences of the same
-    shape, so matching them point by point relabels one into the other."""
-    seen = [False] * len(images)
-    cycles = []
-    for start in range(len(images)):
-        cycle = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cycle.append(x)
-            x = images[x]
-        if cycle:
-            cycles.append(cycle)
-    cycles.sort(key=len, reverse=True)  # stable, so ties stay by least point
+    """The points of a raw image tuple cycle by cycle, as ``cycles_of`` gives
+    them, longer cycles first and equal lengths by least point.  Two
+    conjugate permutations give sequences of the same shape, so matching
+    them point by point relabels one into the other."""
+    cycles = sorted(cycles_of(images), key=len, reverse=True)  # stable, so ties stay by least point
     return [x for cycle in cycles for x in cycle]
 
 

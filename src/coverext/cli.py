@@ -1,8 +1,9 @@
 """Command-line front end: run scenarios and verify the documented claims.
 
 Exit codes: 0 on any completed run (including CONTRADICTS verdicts and
-structured cap/surjectivity outcomes), 2 on schema errors, 3 on numeric
-failures (root finding, tracking, smoothness).
+structured cap/surjectivity outcomes), 2 on schema errors and on paths that
+cannot be read or written, 3 on numeric failures (root finding, tracking,
+smoothness).
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericFailure, DegenerateCover, NotSmooth) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
 

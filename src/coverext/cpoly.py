@@ -57,15 +57,6 @@ class CPoly:
             return CPoly((0j,))
         return CPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
-    def __add__(self, other: "CPoly") -> "CPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0j] * (n - len(other.coeffs))
-        return CPoly(tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "CPoly") -> "CPoly":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "CPoly") -> "CPoly":
         if self.is_zero() or other.is_zero():
             return CPoly((0j,))

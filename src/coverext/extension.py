@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .cosets import CosetTable, Presentation, StabilizerData, pushed_coset_table, schreier_generators
-from .errors import CapExceeded, SurjectivityError
-from .perms import Perm
-from .reps import PermRep, _image_columns
+from .errors import SurjectivityError
+from .reps import PermRep
 from .words import Word
 
 
@@ -66,7 +65,6 @@ class ExtensionResult:
     strong: bool
     table: CosetTable
     stabilizer: StabilizerData
-    inclusion: Inclusion
     abelianization_surjective: bool | None
 
     def sheet_of_path(self, word: Word) -> int:
@@ -178,67 +176,8 @@ def weak_extend(
         strong=strong,
         table=table,
         stabilizer=stab,
-        inclusion=inclusion,
         abelianization_surjective=ab_onto,
     )
-
-
-MAXIMALITY_CAP_DEGREE = 8  # largest candidate degree maximality_check accepts
-
-
-@dataclass(frozen=True)
-class MaximalityVerdict:
-    """How a candidate action compares against the constructed extension."""
-
-    is_extension: bool
-    degree_ok: bool
-    equivalent: bool
-    quotient_map: tuple[int, ...] | None
-    conjugator: Perm | None
-
-
-def maximality_check(result: ExtensionResult, candidate: PermRep) -> MaximalityVerdict:
-    """Check whether a candidate extended action is dominated by the constructed one.
-
-    A candidate is an extension iff some equivariant map from the constructed
-    coset action onto the candidate's sheets exists; such a map is determined
-    by the image of coset 0, so the search is over ``candidate.degree``
-    starting points.  Each start is carried along the breadth-first spanning
-    tree of ``rho1`` (an inverse column through the candidate's inverse), and
-    a map fixed on a spanning tree is equivariant iff every other generator
-    edge agrees.  Equivalence means the map is a bijection (then its
-    permutation is returned as the conjugating relabelling).  A candidate of
-    degree above ``MAXIMALITY_CAP_DEGREE`` raises :class:`CapExceeded`.
-    """
-    if candidate.degree > MAXIMALITY_CAP_DEGREE:
-        raise CapExceeded(
-            f"maximality check capped at degree {MAXIMALITY_CAP_DEGREE}, "
-            f"candidate has degree {candidate.degree}"
-        )
-    pres = result.inclusion.target
-    if set(candidate.images) != set(pres.generators):
-        raise ValueError("candidate must act through the target group's generators")
-    for r in pres.relators:
-        if not candidate.act_word(r).is_identity():
-            return MaximalityVerdict(False, candidate.degree <= result.b1, False, None, None)
-
-    stab = schreier_generators(result.rho1, gen_order=pres.generators)
-    targets = _image_columns(candidate.images[name].images for name in pres.generators)
-    quotient: tuple[int, ...] | None = None
-    for t0 in range(candidate.degree):
-        f = [t0] * result.b1
-        for s, c, t in stab.tree:
-            f[t] = targets[c][f[s]]
-        equivariant = all(f[t] == targets[c][f[s]] for s, c, t in stab.edges)
-        if equivariant and set(f) == set(range(candidate.degree)):  # onto
-            quotient = tuple(f)
-            break
-
-    is_ext = quotient is not None
-    degree_ok = candidate.degree <= result.b1
-    equivalent = is_ext and candidate.degree == result.b1
-    conj = Perm(quotient) if equivalent and quotient is not None else None
-    return MaximalityVerdict(is_ext, degree_ok, equivalent, quotient, conj)
 
 
 def two_sheet_unique(k: int) -> bool:

@@ -61,53 +61,16 @@ class Perm:
     def inverse(self) -> "Perm":
         return Perm(inverse_images(self.images))
 
-    def __pow__(self, k: int) -> "Perm":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Perm.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images))
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(x for x, y in enumerate(self.images) if x != y)
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its least element, sorted."""
-        seen = [False] * self.degree
-        out: list[tuple[int, ...]] = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                seen[x] = True
-                cyc.append(x)
-                x = self.images[x]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return tuple(out)
+        return tuple(c for c in cycles_of(self.images) if len(c) > 1)
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, sorted descending."""
         return cycle_type_of(self.images)
-
-    def order(self) -> int:
-        from math import lcm
-
-        return lcm(*(self.cycle_type() or (1,)))
-
-    def sign(self) -> int:
-        return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
 
     def __str__(self) -> str:
         return format_cycles(self)
@@ -122,6 +85,23 @@ def inverse_images(images: Sequence[int]) -> tuple[int, ...]:
     for x, y in enumerate(images):
         inv[y] = x
     return tuple(inv)
+
+
+def cycles_of(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every cycle of a raw image tuple, fixed points included, each from its
+    least point, in the order of their least points."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = images[x]
+        if cycle:
+            out.append(tuple(cycle))
+    return out
 
 
 def cycle_type_of(images: Sequence[int]) -> tuple[int, ...]:

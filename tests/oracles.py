@@ -8,9 +8,8 @@ fibers along a subdivision that is fine near the branch points, and the
 boundary loop's cycle type from the Newton polygon at z = infinity.  The word
 oracles use only ``Word`` multiplication and inversion, one factor at a time,
 as the reference for batched substitution and powers.  Coset tables are
-checked entry by entry on their raw rows, standard coset tables against
-right cosets listed as sets of permutations, and maximality verdicts by
-breadth-first propagation along those rows.  ``corpus_answer`` and
+checked entry by entry on their raw rows, and standard coset tables against
+right cosets listed as sets of permutations.  ``corpus_answer`` and
 ``answer_digest`` encode the generic-cover corpus's answers for
 ``scripts/scale_monodromy.py`` and the tests alike.
 """
@@ -343,50 +342,6 @@ def breadth_first_tree(rows) -> tuple[list[int], list[list[int]]]:
                 paths[y] = paths[x] + [c]
                 order.append(y)
     return order, [paths[c] for c in range(len(rows))]
-
-
-def maximality_by_bfs(result, candidate) -> tuple:
-    """The five fields of ``maximality_check`` (the conjugator as its image
-    tuple), by the package's earlier search: relators chased point by point
-    on the candidate, then for each image t0 of coset 0 a breadth-first
-    propagation along the forward generator columns of the raw coset table,
-    stopped at the first conflicting edge."""
-    pres = result.inclusion.target
-    images = {name: candidate.images[name].images for name in pres.generators}
-    degree_ok = candidate.degree <= result.b1
-    for r in pres.relators:
-        if any(chase(images, r, x) != x for x in range(candidate.degree)):
-            return False, degree_ok, False, None, None
-
-    table = result.table
-    actions = {name: tuple(row[2 * i] for row in table.rows) for i, name in enumerate(table.gen_names)}
-    quotient = None
-    for t0 in range(candidate.degree):
-        f = [None] * table.index
-        f[0] = t0
-        ok = True
-        frontier = [0]
-        while frontier and ok:
-            nxt = []
-            for c in frontier:
-                for name in pres.generators:
-                    c2 = actions[name][c]
-                    t2 = images[name][f[c]]
-                    if f[c2] is None:
-                        f[c2] = t2
-                        nxt.append(c2)
-                    elif f[c2] != t2:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            frontier = nxt
-        if ok and None not in f and set(f) == set(range(candidate.degree)):  # onto
-            quotient = tuple(f)
-            break
-    is_ext = quotient is not None
-    equivalent = is_ext and candidate.degree == result.b1
-    return is_ext, degree_ok, equivalent, quotient, quotient if equivalent else None
 
 
 def fd_complex_hessian_loop(f, w: np.ndarray, h: float) -> np.ndarray:

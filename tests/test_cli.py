@@ -155,6 +155,17 @@ def test_schema_failures_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_unreadable_paths_exit_2(tmp_path):
+    proc = coverext("run", str(tmp_path))
+    assert proc.returncode == 2
+    assert "schema error" in proc.stderr and "Traceback" not in proc.stderr
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    proc = coverext("verify-paper", "--filter", "example3", "--out-dir", str(occupied))
+    assert proc.returncode == 2
+    assert "schema error" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_numeric_failures_exit_3(tmp_path):
     degenerate = {
         "kind": "slice-monodromy",

@@ -49,9 +49,7 @@ def test_trim_and_degree():
 @given(coeff_lists(), coeff_lists(), finite_c)
 def test_ring_operations_pointwise(a, b, z):
     p, q = CPoly(tuple(a)), CPoly(tuple(b))
-    assert abs((p + q)(z) - (p(z) + q(z))) <= 1e-9 * (1 + abs(p(z)) + abs(q(z)))
     assert abs((p * q)(z) - p(z) * q(z)) <= 1e-6 * (1 + abs(p(z)) * abs(q(z)))
-    assert abs((p - q)(z) - (p(z) - q(z))) <= 1e-9 * (1 + abs(p(z)) + abs(q(z)))
 
 
 @given(coeff_lists(), coeff_lists(), finite_c)
