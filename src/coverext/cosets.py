@@ -287,24 +287,18 @@ class _Enumerator:
 
     def _compiled(self, words: Iterable[Sequence[int]]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each word's freely reduced columns and backward columns.  The words
-        come freely reduced, so only an involution's ``g g`` can newly
-        cancel; without involutions the enumerator's columns are the ``reps``
-        columns, and the words are taken as they are."""
+        come freely reduced, so only an involution's ``g g`` can cancel."""
         col, inv = self.col, self.inv
         out = []
         for word in words:
-            if len(inv) == len(col):
-                cols = tuple(word)
-            else:
-                stack: list[int] = []
-                for c in word:
-                    k = col[c]
-                    if stack and stack[-1] == inv[k]:
-                        stack.pop()
-                    else:
-                        stack.append(k)
-                cols = tuple(stack)
-            out.append((cols, tuple([inv[k] for k in cols])))
+            stack: list[int] = []
+            for c in word:
+                k = col[c]
+                if stack and stack[-1] == inv[k]:
+                    stack.pop()
+                else:
+                    stack.append(k)
+            out.append((tuple(stack), tuple([inv[k] for k in stack])))
         return out
 
     def rep(self, c: int) -> int:

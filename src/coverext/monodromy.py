@@ -18,12 +18,12 @@ or on a quadratic contraction whose error estimate is below that (branch
 point refinement keeps the first rule alone, as its bits reach the
 reports).  A step is accepted only if no sheet moved more than a third of
 its own distance to the nearest other sheet of the previous fiber, measured
-from that fiber and not from the prediction; otherwise it is bisected.  So
-sheet identities cannot be exchanged silently (the triangle-inequality
-argument is in :func:`track_path`), and the predictor only saves Newton
-steps and bisections.  Each sheet answers to its own spacing, so a fast
-sheet far from the others does not force the step down to the separation of
-two slow ones.
+from that fiber and not from the prediction; otherwise it is bisected, on
+an explicit stack, first half before second.  So sheet identities cannot be
+exchanged silently (the triangle-inequality argument is in
+:func:`track_path`), and the predictor only saves Newton steps and
+bisections.  Each sheet answers to its own spacing, so a fast sheet far from
+the others does not force the step down to the separation of two slow ones.
 
 Sheet indices always refer to the basepoint fiber sorted by (real, imag).
 """
@@ -117,16 +117,16 @@ def _newton_terms(coeffs: Sequence[complex]) -> list[tuple[complex, complex]]:
     return [(coeffs[k], k * coeffs[k]) for k in range(len(coeffs) - 1, 0, -1)]
 
 
-def _newton_w(coeffs: Sequence[complex], w: complex, max_iter: int = 30) -> complex | None:
+def _newton_w(coeffs: Sequence[complex], w: complex) -> complex | None:
     """Newton's iteration from w on the polynomial with constant-first
-    ``coeffs`` (in w or in z); None unless a step shrinks below 1e-13
-    relative within ``max_iter`` steps.  One Horner loop evaluates p and p'
-    together, each with the operations of its own Horner evaluation.
+    ``coeffs``, a derivative of the z-discriminant; None unless a step
+    shrinks below 1e-13 relative within 60 steps.  One Horner loop evaluates
+    p and p' together, each with the operations of its own Horner evaluation.
     Nothing is coerced: ``branch_points`` refines numpy scalars, whose bits
     reach the reports, so this keeps the plain step-size stop and not the
     tracker's contraction stop (:func:`track_path`)."""
     terms, c0 = _newton_terms(coeffs), coeffs[0]
-    for _ in range(max_iter):
+    for _ in range(60):
         p = d = 0j
         for c, kc in terms:
             p = p * w + c
@@ -199,7 +199,7 @@ def branch_points(cover: CoverSlice) -> tuple[complex, ...]:
         deriv = disc
         for _ in range(m - 1):
             deriv = deriv.derivative()
-        refined = _newton_w(deriv.coeffs, centroid, max_iter=60)
+        refined = _newton_w(deriv.coeffs, centroid)
         ok = refined is not None and abs(refined - centroid) <= 3 * tau
         if ok:
             d = disc
@@ -279,12 +279,14 @@ def track_path(
     when every correction converged and each sheet i moved less than r_i / 3,
     where r_i is its distance to the nearest other sheet of the previous
     fiber; otherwise the step is bisected (up to ``MAX_DEPTH`` levels, then
-    :class:`NumericFailure`).  An accepted step exchanges no sheets: r_i and
-    r_j are both at most |w_i - w_j|, so by the triangle inequality the
-    corrected sheets stay more than |w_i - w_j| / 3 apart, and the new w_i
-    lies within r_i / 3 of w_i but at least 2 r_i / 3 from every other w_j.
-    A fast, isolated sheet is thus held to its own spacing, not to that of
-    two slow ones elsewhere in the fiber.
+    :class:`NumericFailure`): a stack of (target z, depth) pairs takes back
+    the target and, on top, the midpoint, so the first half goes first.  An
+    accepted step exchanges no sheets: r_i and r_j are both at most
+    |w_i - w_j|, so by the triangle inequality the corrected sheets stay
+    more than |w_i - w_j| / 3 apart, and the new w_i lies within r_i / 3 of
+    w_i but at least 2 r_i / 3 from every other w_j.  A fast, isolated sheet
+    is thus held to its own spacing, not to that of two slow ones elsewhere
+    in the fiber.
 
     Newton starts from a secant prediction: with v the fiber accepted at
     z_back just before the current fiber w at z_from, sheet i starts at
@@ -312,9 +314,10 @@ def track_path(
     fiber = [complex(w) for w in start_fiber]
     reach = _reach(fiber)
     back: tuple[complex, list[complex]] | None = None  # the fiber accepted before ``fiber``
-
-    def advance(z_to: complex, depth: int, z_from: complex) -> None:
-        nonlocal fiber, reach, back
+    z_from = nodes[0] if len(nodes) else 0j  # where ``fiber`` lies
+    stack = [(z, 0) for z in nodes[:0:-1]]  # (target, bisection depth), next on top
+    while stack:
+        z_to, depth = stack.pop()
         coeffs = []
         for row in rows:
             v = 0j
@@ -335,20 +338,16 @@ def track_path(
             corrected.append(w2)
         else:
             back = (z_from, fiber)
-            fiber = corrected
+            z_from, fiber = z_to, corrected
             reach = _reach(fiber)
-            return
+            continue
         if depth >= MAX_DEPTH:
             raise NumericFailure(
                 f"sheet tracking failed to converge near z = {z_to} "
                 f"(bisection depth {depth})"
             )
-        mid = (z_from + z_to) / 2
-        advance(mid, depth + 1, z_from)
-        advance(z_to, depth + 1, mid)
-
-    for a, b in zip(nodes, nodes[1:]):
-        advance(b, 0, a)
+        stack.append((z_to, depth + 1))
+        stack.append(((z_from + z_to) / 2, depth + 1))
     return tuple(fiber)
 
 
@@ -693,8 +692,9 @@ def weierstrass_poly_of_function(
     of ``func`` on the fiber: the product of (zeta - func(z, w_i(z))).
 
     The coefficients are symmetric in the sheets, hence single-valued
-    polynomials in z; they are recovered by sampling on a circle of radius R
-    that keeps clear of every branch point and interpolating.  A z^k
+    polynomials in z; they are recovered by sampling on the circle of radius
+    R = 1.37 (1 + max |c|) over the branch points c, clear of every one as
+    R - |c| >= 0.37 max |c| + 1.37 > 1e-3 R, and interpolating.  A z^k
     coefficient c is dropped when its size on that circle, |c| R^k, is at most
     ``WEIERSTRASS_STRIP_TOL`` times the largest coefficient (or 1).  ``branch``
     passes the cover's branch points when the caller already has them, in any
@@ -709,10 +709,6 @@ def weierstrass_poly_of_function(
     if branch is None:
         branch = branch_points(cover)
     radius = 1.37 * (1.0 + max((abs(c) for c in branch), default=0.0))
-    for _ in range(60):
-        if all(abs(abs(c) - radius) > 1e-3 * radius for c in branch):
-            break
-        radius *= 1.0371
     zs = [radius * cmath.exp(2j * math.pi * (k + 0.3) / npts) for k in range(npts)]
 
     samples = np.zeros((npts, b + 1), dtype=complex)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import gc
 import hashlib
 from time import perf_counter
 
@@ -448,6 +449,9 @@ SLICE_IDS = ["cubic", "galois", "stein", *map(str, range(100, 106))]
 # SHA-256 of the _loops node lists of the SLICE_CASES, in order: the node
 # spacing must place exactly these nodes, bit for bit
 LOOP_NODES_DIGEST = "9e4ba34e3145624e2e9cec659f8528cd329a4c1fab3d74fba8d02aceadb53fe3"
+# SHA-256 of the entry fiber and the turn's end fiber of each _loops loop of
+# the SLICE_CASES, in order: the tracker must hand on exactly these fibers
+TRACKED_FIBERS_DIGEST = "852cc6035468816f594ec65eb2aea5c23f3a1d5557de0cc2126a63dfe7d680c4"
 
 
 def _slice_case(corpus, case):
@@ -475,6 +479,34 @@ def test_loop_node_lists_are_pinned(corpus):
                 digest.update(np.array(leg, dtype=complex).tobytes())
                 digest.update(b"|")
     assert digest.hexdigest() == LOOP_NODES_DIGEST
+
+
+def test_tracked_fibers_are_pinned(corpus):
+    digest = hashlib.sha256()
+    for case in SLICE_CASES:
+        cover, mono = _slice_case(corpus, case)
+        for approach, turn in _loops(mono.basepoint, mono.branch, mono.radii, 1):
+            entry = track_path(cover, approach, mono.fiber)
+            for fiber in (entry, track_path(cover, turn, entry)):
+                digest.update(np.array(fiber, dtype=complex).tobytes())
+                digest.update(b"|")
+    assert digest.hexdigest() == TRACKED_FIBERS_DIGEST
+
+
+def test_tracking_leaves_no_reference_cycles():
+    # every object the tracker makes is freed by reference count, so no
+    # later collection pays for a monodromy computation
+    covers = [CUBIC, GALOIS, STEIN, CoverSlice(BivarPoly.from_lists(generic_cover_rows(100)))]
+    gc.collect()
+    gc.disable()
+    try:
+        for cover in covers:
+            full_monodromy(cover)
+            assert gc.collect() == 0
+            track_to(cover, 0.3 + 0.2j)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("case", SLICE_CASES, ids=SLICE_IDS)
