@@ -5,12 +5,12 @@ degree 3 + seed % 6 in w, coefficients of z-degree 1 or 2) this prints the
 wall time of ``full_monodromy``, the number of branch points, the order of the
 lasso group (``closure_order``) or the error the cover raised, and the total.
 One SHA-256 covers every cover's answer: the images of each lasso permutation
-and of the boundary permutation and the closure order or its cap message, or
-the type and text of the error the cover raised; equal digests mean equal
-answers on the whole corpus.  The encoding is ``tests/oracles.corpus_answer``,
-which the tier-1 test that pins the digest shares.  A cover that answers with a lasso product other
-than its boundary loop ends the script with a non-zero exit status; a raised
-error is printed and counted but is not a wrong answer.
+and of the boundary permutation and the closure order, or the type and text
+of the error the cover raised; equal digests mean equal answers on the whole
+corpus.  The encoding is ``tests/oracles.corpus_answer``, which the tier-1
+test that pins the digest shares.  A cover that answers with a lasso product
+other than its boundary loop ends the script with a non-zero exit status; a
+raised error is printed and counted but is not a wrong answer.
 
 It then times ``generated_order`` on generators of S8, S9 and S10 (an adjacent
 transposition and an n-cycle, and the n-2 consecutive 3-cycles of A_n); a
@@ -74,7 +74,7 @@ def main() -> None:
             (f"A{n}", [Perm.from_cycles(n, [(i, i + 1, i + 2)]) for i in range(n - 2)], math.factorial(n) // 2),
         )
         for name, gens, want in cases:
-            order, dt = timed(lambda: generated_order(gens, cap=want))
+            order, dt = timed(lambda: generated_order(gens))
             if order != want:
                 raise SystemExit(f"wrong order for {name}: {order} != {want}")
             print(f"{name:>6} {dt:>18.4f} {order:>9}", flush=True)

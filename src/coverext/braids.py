@@ -37,7 +37,6 @@ lists every homomorphism once.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -48,7 +47,6 @@ from .reps import PermRep, _breadth_first, _column_of, _columns, _image_columns,
 from .words import Word
 
 
-_GENERATOR_RE = re.compile(r"s([1-9][0-9]*)")
 SEARCH_CAP = 10_000_000  # default bound on the raw assignment space of a search
 
 
@@ -177,14 +175,6 @@ def _assignments(
             columns.pop(c + 1, None)
 
 
-def _generator_index(name: str, m: int) -> int | None:
-    """The index ``g`` of ``name`` as ``s{g + 1}`` among s1..s{m-1}, or None
-    when it is not one of them; without listing them."""
-    match = _GENERATOR_RE.fullmatch(name)
-    g = int(match.group(1)) - 1 if match else m
-    return g if g < m - 1 else None
-
-
 def _search_space(degree: int, free: int, cap: int) -> int | None:
     """``factorial(degree) ** free``, or None once it exceeds ``cap``.
 
@@ -289,9 +279,11 @@ def hom_search(
         raise ValueError("need at least one strand")
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
+    names = braid_generator_names(m)
+    index = {name: g for g, name in enumerate(names)}
     fixed: dict[int, tuple[int, ...]] = {}
     for name, p in (pinned or {}).items():
-        g = _generator_index(name, m)
+        g = index.get(name)
         if g is None:
             raise ValueError(f"pinned generator {name!r} is not one of s1..s{m - 1}")
         if p.degree != degree:
@@ -302,7 +294,7 @@ def hom_search(
         raise CapExceeded(f"search space of ({degree}!)^{free} assignments exceeds cap {cap}")
     free_gens = [g for g in range(m - 1) if g not in fixed]
     if degree <= 1:  # the one map into the trivial group; every relator holds
-        return (dict.fromkeys((f"s{g + 1}" for g in [*fixed, *free_gens]), Perm.identity(degree)),)
+        return (dict.fromkeys((names[g] for g in [*fixed, *free_gens]), Perm.identity(degree)),)
 
     relators = _braid_relators(m)
     if fixed or not free_gens:
@@ -312,7 +304,6 @@ def hom_search(
     else:
         solutions = _conjugacy_search(degree, relators, m - 1)
     solutions.sort(key=lambda sol: tuple(sol[g] for g in range(m - 1)))
-    names = braid_generator_names(m)
     return tuple({names[g]: Perm(img) for g, img in sol.items()} for sol in solutions)
 
 

@@ -2,7 +2,7 @@
 
 Two complementary routes between subgroups and permutation actions:
 
-* ``schreier_generators`` reads generators of a point stabilizer off a
+* ``schreier_generators`` reads generators of the stabilizer of sheet 0 off a
   transitive permutation representation (breadth-first transversal, one word
   per (sheet, generator) edge, spanning-tree edges dropped).
 * ``todd_coxeter`` enumerates cosets of a finitely generated subgroup of a
@@ -78,7 +78,7 @@ def _inverse(cols: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class StabilizerData:
-    """Breadth-first spanning tree of a transitive action, for a point stabilizer.
+    """Breadth-first spanning tree of a transitive action from sheet 0, for its stabilizer.
 
     Edges are ``(s, c, t)``: column ``c`` (``_column_of(gen_names)``) takes
     sheet ``s`` to sheet ``t``.  ``tree`` holds the tree edges in discovery
@@ -87,7 +87,6 @@ class StabilizerData:
     ``generators`` are spelled on first access.
     """
 
-    base_point: int
     gen_names: tuple[str, ...]
     tree: tuple[tuple[int, int, int], ...]
     edges: tuple[tuple[int, int, int], ...]
@@ -114,26 +113,25 @@ class StabilizerData:
 
     @cached_property
     def transversal(self) -> tuple[Word, ...]:
-        """``transversal[s]`` maps the base point to sheet ``s``."""
+        """``transversal[s]`` maps sheet 0 to sheet ``s``."""
         return _spell(self._source[0], self.gen_names)
 
     @cached_property
     def generators(self) -> tuple[Word, ...]:
-        """Schreier generators of the base point's stabilizer."""
+        """Schreier generators of the stabilizer of sheet 0."""
         return _spell(self._source[1], self.gen_names)
 
 
 def schreier_generators(
     rep: PermRep,
     gen_order: Sequence[str] | None = None,
-    base_point: int = 0,
 ) -> StabilizerData:
-    """Stabilizer generators of ``base_point`` under a transitive representation.
+    """Stabilizer generators of sheet 0 under a transitive representation.
 
-    The transversal is breadth-first in ``gen_order`` (each generator tried
-    with exponent +1 then -1), so ``transversal[s]`` maps the base point to
-    sheet ``s``.  For each sheet ``s`` and generator ``g`` the word
-    ``transversal[s] * g * transversal[g(s)]**-1`` stabilizes the base point;
+    The transversal is breadth-first from sheet 0 in ``gen_order`` (each
+    generator tried with exponent +1 then -1), so ``transversal[s]`` maps
+    sheet 0 to sheet ``s``.  For each sheet ``s`` and generator ``g`` the word
+    ``transversal[s] * g * transversal[g(s)]**-1`` stabilizes sheet 0;
     the spanning-tree edges, whose words are freely trivial, are dropped,
     leaving ``b*(n-1) + 1`` generators for a transitive action on ``b``
     sheets.
@@ -145,7 +143,7 @@ def schreier_generators(
     if set(names) != set(rep.images):
         raise ValueError("gen_order must list exactly the representation's generators")
     columns = _image_columns(rep.images[name].images for name in names)
-    order, came = _breadth_first(rep.degree, columns, base_point)
+    order, came = _breadth_first(rep.degree, columns, 0)
     if len(order) != rep.degree:
         raise ValueError("representation is not transitive; stabilizer has no finite transversal data")
     tree = [(columns[came[t] ^ 1][t], came[t], t) for t in order[1:]]  # type: ignore[operator]
@@ -155,7 +153,7 @@ def schreier_generators(
             t = columns[c][s]
             if came[t] != c and came[s] != c + 1:  # not a tree edge, either way round
                 edges.append((s, c, t))
-    return StabilizerData(base_point, names, tuple(tree), tuple(edges))
+    return StabilizerData(names, tuple(tree), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -521,7 +519,7 @@ def pushed_coset_table(
     for name in stab.gen_names:
         image = _columns(images[name], col_of)
         letter += [image, _inverse(image)]
-    order = [stab.base_point] + [t for _, _, t in stab.tree]
+    order = [0] + [t for _, _, t in stab.tree]
     sheet = [0] * len(order)  # the enumerator numbers the sheets in tree order
     for n, x in enumerate(order):
         sheet[x] = n

@@ -164,16 +164,12 @@ def weak_extend(
         if any(fiber_map[t] != q[fiber_map[s]] for s, t in enumerate(p.images)):
             raise RuntimeError("internal error: fiber map is not equivariant")
 
-    strong = b1 == b0
-    injective = len(set(fiber_map)) == b0
-    if strong != injective:
-        raise RuntimeError("internal error: injectivity must coincide with b1 == b0")
     return ExtensionResult(
         b0=b0,
         b1=b1,
         rho1=rho1,
         fiber_map=fiber_map,
-        strong=strong,
+        strong=b1 == b0,
         table=table,
         stabilizer=stab,
         abelianization_surjective=ab_onto,

@@ -48,7 +48,6 @@ DISC_STRIP_TOL = 1e-9  # z-discriminant coefficients this small next to the larg
 MAX_DEPTH = 40  # bisection levels of one track_path step before it fails
 SEPARATION_TOL = 1e-8  # relative gap below which fiber values do not separate
 WEIERSTRASS_STRIP_TOL = 1e-8  # relative size on the circle below which a coefficient drops
-CLOSURE_CAP = 1_000_000  # largest lasso group whose order closure_order computes
 CUT_TOL = 1e-6  # radians clockwise of a track_to cut at which a target still lies on it
 
 
@@ -535,9 +534,8 @@ class MonodromyResult:
         return self.perms[k]
 
     def closure_order(self) -> int:
-        """Order of the permutation group the lassos generate (1 when unbranched);
-        :class:`CapExceeded` past ``CLOSURE_CAP``."""
-        return generated_order(list(self.perms), cap=CLOSURE_CAP) if self.perms else 1
+        """Order of the permutation group the lassos generate (1 when unbranched)."""
+        return generated_order(list(self.perms)) if self.perms else 1
 
 
 def _start(

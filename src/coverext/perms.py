@@ -152,24 +152,18 @@ def generate(perms: Sequence[Perm], cap: int = 1_000_000) -> set[Perm]:
     return seen
 
 
-def generated_order(perms: Sequence[Perm], cap: int = 1_000_000) -> int:
+def generated_order(perms: Sequence[Perm]) -> int:
     """Order of the group the permutations generate (0 for no generators).
 
     The order is the product of the basic orbit lengths of a base and strong
     generating set (:func:`_basic_orbits`), so nothing enumerates the group.
-    Raises :class:`CapExceeded`, with the message :func:`generate` gives,
-    exactly when :func:`generate` would: when the order exceeds ``cap`` (and
-    the group is not trivial).
     """
     if not perms:
         return 0
     n = perms[0].degree
     if any(p.degree != n for p in perms):
         raise ValueError("degree mismatch")
-    order = prod(len(orbit) for orbit in _basic_orbits([p.images for p in perms], n))
-    if order > max(cap, 1):
-        raise CapExceeded(f"group closure exceeded cap {cap}")
-    return order
+    return prod(len(orbit) for orbit in _basic_orbits([p.images for p in perms], n))
 
 
 def _basic_orbits(gens: Sequence[tuple[int, ...]], n: int) -> list[dict]:

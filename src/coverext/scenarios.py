@@ -519,9 +519,10 @@ class Report:
 def run_payload(payload: Any) -> Report:
     """Validate and run one scenario description.
 
-    A capped enumeration ends in status ``cap-exceeded`` and a provably
-    non-surjective map in ``surjectivity-failed``, whatever the kind; input
-    the computation rejects raises :class:`SchemaError`.
+    A capped enumeration, which only the ``extension`` and ``braid-search``
+    kinds run, ends in status ``cap-exceeded``, and a provably non-surjective
+    map in ``surjectivity-failed``; input the computation rejects raises
+    :class:`SchemaError`.
     """
     path = "scenario"
     top = _as_dict(payload, path)

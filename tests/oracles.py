@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from coverext.cosets import CosetTable, Presentation
-from coverext.errors import CapExceeded
 from coverext.words import Word
 
 
@@ -530,14 +529,11 @@ def boundary_cycle_type(rows) -> tuple[int, ...] | None:
 def corpus_answer(seed: int, outcome) -> list:
     """The answer of one generic-cover corpus seed as JSON values: the image
     tuples of its lasso permutations, of its boundary permutation and its
-    closure order (or the cap message), from a ``MonodromyResult``; or the
-    type name and text of the error ``full_monodromy`` raised."""
+    closure order, from a ``MonodromyResult``; or the type name and text of
+    the error ``full_monodromy`` raised."""
     if isinstance(outcome, Exception):
         return [seed, type(outcome).__name__, str(outcome)]
-    try:
-        order = str(outcome.closure_order())
-    except CapExceeded as exc:
-        order = str(exc)
+    order = str(outcome.closure_order())
     return [seed, [list(p.images) for p in outcome.perms], list(outcome.boundary_perm.images), order]
 
 

@@ -112,9 +112,9 @@ def test_schreier_counts_and_stabilization():
         assert len(stab.transversal) == degree
         assert len(stab.generators) == degree * (k - 1) + 1
         for s, t in enumerate(stab.transversal):
-            assert rep.act_word(t)(stab.base_point) == s
+            assert rep.act_word(t)(0) == s
         for w in stab.generators:
-            assert rep.act_word(w)(stab.base_point) == stab.base_point
+            assert rep.act_word(w)(0) == 0
 
 
 def test_stabilizer_words_push_the_source_once(monkeypatch):
@@ -233,14 +233,13 @@ def test_schreier_generators_chase_to_the_base_point():
         images = dict(zip(names, random_transitive_images(rng, degree, k)))
         rep = PermRep(degree, {n: Perm.from_images(t) for n, t in images.items()})
         order = [names[i] for i in rng.permutation(k)]
-        base = int(rng.integers(0, degree))
-        stab = schreier_generators(rep, gen_order=order, base_point=base)
+        stab = schreier_generators(rep, gen_order=order)
         assert len(stab.generators) == degree * (k - 1) + 1
         for s, t in enumerate(stab.transversal):
-            assert chase(images, t, base) == s
+            assert chase(images, t, 0) == s
         for w in stab.generators:
             assert not w.is_identity()
-            assert chase(images, w, base) == base
+            assert chase(images, w, 0) == 0
 
 
 def test_coset_table_rejects_unknown_generator():

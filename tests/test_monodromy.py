@@ -265,14 +265,16 @@ def test_unbranched_cover_generates_the_trivial_group():
     assert report.results["closure_order"] == 1
 
 
-def test_degree_ten_slice_exceeds_the_closure_cap_quickly():
-    # w^10 + w + z: nine simple branch points, lasso group S10 (3628800 > 10^6)
+def test_degree_ten_slice_answers_its_closure_order_quickly():
+    # w^10 + w + z: nine simple branch points, lasso group S10
     cover = {"w_coeffs": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]] + [[[0.0, 0.0]]] * 8 + [[[1.0, 0.0]]]}
     t0 = perf_counter()
     report = run_payload({"kind": "slice-monodromy", "name": "degree-10", "cover": cover})
     assert perf_counter() - t0 < 5.0
-    assert report.status == "cap-exceeded"
-    assert report.results == {"error": "group closure exceeded cap 1000000"}
+    assert report.status == "ok"
+    assert report.results["closure_order"] == 3628800
+    assert report.results["cycle_types"] == [[2] + [1] * 8] * 9
+    assert report.results["product_matches_boundary"] is True
 
 
 def test_basepoint_on_branch_point_rejected():
