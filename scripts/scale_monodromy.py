@@ -12,9 +12,16 @@ test that pins the digest shares.  A cover that answers with a lasso product
 other than its boundary loop ends the script with a non-zero exit status; a
 raised error is printed and counted but is not a wrong answer.
 
-It then times ``generated_order`` on generators of S8, S9 and S10 (an adjacent
-transposition and an n-cycle, and the n-2 consecutive 3-cycles of A_n); a
-wrong order also ends the script with a non-zero exit status.
+It then times ``generated_order`` on generators of S8, S9 and S10 in two
+shapes.  Few long generators: an adjacent transposition and an n-cycle, and
+the n-2 consecutive 3-cycles of A_n.  Many short ones: the n-1 adjacent
+transpositions of S_n (row ``S<n>adj``), the shape of a lasso group: one
+generator per branch point, mostly transpositions.  Each pass of
+``generated_order`` forms one Schreier generator per orbit point and
+generator, and its filter may hand up to n(n-1)/2 of them to the next pass,
+so its cost depends on the shape of the generating set; timing both shows a
+change that helps one shape and hurts the other.  A wrong order in either
+also ends the script with a non-zero exit status.
 
     python scripts/scale_monodromy.py
 """
@@ -67,17 +74,18 @@ def main() -> None:
     print(f"total {total:.2f} s over {len(SEEDS) - errors} covers, {errors} raised")
     print(f"answers sha256 {answer_digest(answers)}")
 
-    print(f"\n{'group':>6} {'generated_order_s':>18} {'order':>9}")
+    print(f"\n{'group':>7} {'generated_order_s':>18} {'order':>9}")
     for n in DEGREES:
         cases = (
             (f"S{n}", [Perm.transposition(n, 0, 1), Perm.from_cycles(n, [tuple(range(n))])], math.factorial(n)),
             (f"A{n}", [Perm.from_cycles(n, [(i, i + 1, i + 2)]) for i in range(n - 2)], math.factorial(n) // 2),
+            (f"S{n}adj", [Perm.transposition(n, i, i + 1) for i in range(n - 1)], math.factorial(n)),
         )
         for name, gens, want in cases:
             order, dt = timed(lambda: generated_order(gens))
             if order != want:
                 raise SystemExit(f"wrong order for {name}: {order} != {want}")
-            print(f"{name:>6} {dt:>18.4f} {order:>9}", flush=True)
+            print(f"{name:>7} {dt:>18.4f} {order:>9}", flush=True)
 
 
 if __name__ == "__main__":

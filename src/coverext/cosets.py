@@ -91,8 +91,10 @@ class StabilizerData:
     tree: tuple[tuple[int, int, int], ...]
     edges: tuple[tuple[int, int, int], ...]
 
-    def _pushed(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """Transversal and Schreier generator columns.
+    @cached_property
+    def _source(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Transversal and Schreier generator columns, pushed once for both
+        word lists.
 
         ``transversal[t]`` is ``transversal[s] + (c,)`` along the tree edge
         into ``t``, and edge ``(s, c, t)`` gives the generator
@@ -105,11 +107,6 @@ class StabilizerData:
             words[t] = words[s] + (c,)
         inverses = [_inverse(w) for w in words]
         return words, [words[s] + (c,) + inverses[t] for s, c, t in self.edges]
-
-    @cached_property
-    def _source(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """The source words' columns, pushed once for both word lists."""
-        return self._pushed()
 
     @cached_property
     def transversal(self) -> tuple[Word, ...]:
@@ -204,7 +201,9 @@ class CosetTable:
         return coset
 
     def coset_action(self, name: str) -> Perm:
-        (col,) = _columns(Word.gen(name), self._col_of)
+        if name not in self._col_of:
+            raise ValueError(f"unknown generator {name!r}")
+        col = self._col_of[name]
         return Perm(tuple(row[col] for row in self.rows))
 
     def to_rep(self) -> PermRep:

@@ -214,28 +214,18 @@ def branch_points(cover: CoverSlice) -> tuple[complex, ...]:
     return tuple(sorted((complex(z) for z in out), key=lambda z: (z.real, z.imag)))
 
 
-def _minsep(points: Sequence[complex]) -> float:
-    if len(points) < 2:
-        return math.inf
-    return min(
-        abs(points[i] - points[j])
-        for i in range(len(points))
-        for j in range(i + 1, len(points))
-    )
-
-
-def _reach(fiber: Sequence[complex]) -> list[float]:
-    """A third of each sheet's distance to the nearest other sheet, in one
-    pass over the pairs."""
-    near = [math.inf] * len(fiber)
-    for i, w in enumerate(fiber):
-        for j in range(i + 1, len(fiber)):
-            gap = abs(w - fiber[j])
+def _nearest(points: Sequence[complex]) -> list[float]:
+    """Each point's distance to the nearest other point (inf when it has
+    none), in one pass over the pairs."""
+    near = [math.inf] * len(points)
+    for i, w in enumerate(points):
+        for j in range(i + 1, len(points)):
+            gap = abs(w - points[j])
             if gap < near[i]:
                 near[i] = gap
             if gap < near[j]:
                 near[j] = gap
-    return [r / 3 for r in near]
+    return near
 
 
 def _correct(terms: Sequence[tuple[complex, complex]], c0: complex, w: complex) -> complex | None:
@@ -311,7 +301,7 @@ def track_path(
     """
     rows = [row.coeffs[::-1] for row in cover.poly.w_coeffs]  # top degree first, for Horner
     fiber = [complex(w) for w in start_fiber]
-    reach = _reach(fiber)
+    reach = [r / 3 for r in _nearest(fiber)]
     back: tuple[complex, list[complex]] | None = None  # the fiber accepted before ``fiber``
     z_from = nodes[0] if len(nodes) else 0j  # where ``fiber`` lies
     stack = [(z, 0) for z in nodes[:0:-1]]  # (target, bisection depth), next on top
@@ -338,7 +328,7 @@ def track_path(
         else:
             back = (z_from, fiber)
             z_from, fiber = z_to, corrected
-            reach = _reach(fiber)
+            reach = [r / 3 for r in _nearest(fiber)]
             continue
         if depth >= MAX_DEPTH:
             raise NumericFailure(
@@ -495,7 +485,7 @@ def auto_basepoint(branch: Sequence[complex]) -> complex:
 
 def _match_perm(fiber0: Sequence[complex], end: Sequence[complex]) -> Perm:
     """Permutation sending each start sheet to the sheet its endpoint equals."""
-    tol = _minsep(fiber0) / 3
+    tol = min(_nearest(fiber0)) / 3
     images = []
     for w in end:
         dists = [abs(w - f) for f in fiber0]
@@ -554,7 +544,7 @@ def _start(
         if abs(basepoint - c) < 1e-9:
             raise ValueError("basepoint coincides with a branch point")
     fiber0 = cover.fiber(basepoint)
-    if _minsep(fiber0) == 0:
+    if min(_nearest(fiber0)) == 0:
         raise NumericFailure("fiber at basepoint is not simple")
     return branch, basepoint, fiber0
 
@@ -677,7 +667,7 @@ def separates_fiber(cover: CoverSlice, func: BivarPoly, z: complex) -> bool:
     """Whether the function takes distinct values on the fiber over z."""
     vals = [func(z, w) for w in cover.fiber(z)]
     scale = 1.0 + max(abs(v) for v in vals)
-    return bool(_minsep(vals) > SEPARATION_TOL * scale)
+    return bool(min(_nearest(vals)) > SEPARATION_TOL * scale)
 
 
 def weierstrass_poly_of_function(

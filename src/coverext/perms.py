@@ -8,7 +8,6 @@ with no reversal anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded
@@ -153,101 +152,52 @@ def generate(perms: Sequence[Perm], cap: int = 1_000_000) -> set[Perm]:
 
 
 def generated_order(perms: Sequence[Perm]) -> int:
-    """Order of the group the permutations generate (0 for no generators).
+    """Order of the group the permutations generate (0 for no generators),
+    by Schreier-Sims with a Sims filter (Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*, 2005, sec. 4.4), so nothing enumerates the
+    group.
 
-    The order is the product of the basic orbit lengths of a base and strong
-    generating set (:func:`_basic_orbits`), so nothing enumerates the group.
+    Each pass takes the first point b that a generator moves, walks its orbit
+    with a transversal (u_p takes b to p) and multiplies the order by the
+    orbit length.  The Schreier generators u_p g u_{g(p)}^-1 generate the
+    stabilizer of b; the filter keeps them in a table keyed by (i, h(i)),
+    where i is the first point h moves.  A new h is stripped by the kept k of
+    its key, h <- h k^-1, which fixes i and every point before it, until h is
+    the identity or its key is free.  So at most n(n-1)/2 elements stay,
+    they generate the same stabilizer, and they are the next pass's
+    generators; the passes end at the trivial group.
     """
     if not perms:
         return 0
     n = perms[0].degree
     if any(p.degree != n for p in perms):
         raise ValueError("degree mismatch")
-    return prod(len(orbit) for orbit in _basic_orbits([p.images for p in perms], n))
-
-
-def _basic_orbits(gens: Sequence[tuple[int, ...]], n: int) -> list[dict]:
-    """Basic orbits of a base and strong generating set of the group the
-    image tuples generate, by deterministic Schreier-Sims (Holt, Eick &
-    O'Brien, *Handbook of Computational Group Theory*, 2005, sec. 4.4.2).
-
-    Level i has a base point b_i, the strong generators fixing b_0..b_{i-1}
-    and its orbit: a dict sending each orbit point p to (u_p, u_p^-1), with
-    u_p a group element taking b_i to p.  Orbits only grow, so an orbit
-    point keeps its u_p, and a Schreier generator u_p g u_{g(p)}^-1 that
-    sifted to the identity once still does; each (point, generator) pair is
-    therefore sifted once.  The group order is the product of the orbit
-    lengths.
-    """
     ident = tuple(range(n))
-    base: list[int] = []
-    strong: list[list[tuple[int, ...]]] = []
-    orbits: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    tested: list[set[tuple[int, int]]] = []
-
-    def add_level(g: tuple[int, ...]) -> None:
-        b = next(x for x in range(n) if g[x] != x)
-        base.append(b)
-        strong.append([])
-        orbits.append({b: (ident, ident)})
-        tested.append(set())
-
-    def add_generator(level: int, g: tuple[int, ...]) -> None:
-        strong[level].append(g)
-        orbit = orbits[level]
-        queue = list(orbit)
-        for p in queue:
-            u = orbit[p][0]
-            for h in strong[level]:
-                q = h[p]
-                if q not in orbit:
-                    uh = tuple(h[x] for x in u)
-                    orbit[q] = (uh, inverse_images(uh))
-                    queue.append(q)
-
-    def sift(g: tuple[int, ...], level: int) -> tuple[tuple[int, ...], int]:
-        """Strip g through the levels from ``level`` on; the residue and the
-        level where it left the orbits (the number of levels if none)."""
-        for i in range(level, len(base)):
-            entry = orbits[i].get(g[base[i]])
-            if entry is None:
-                return g, i
-            g = tuple(entry[1][x] for x in g)
-        return g, len(base)
-
-    nontrivial = [g for g in gens if g != ident]
-    for g in nontrivial:
-        if all(g[b] == b for b in base):
-            add_level(g)
-    for level in range(len(base)):
-        for g in nontrivial:
-            if all(g[b] == b for b in base[:level]):
-                add_generator(level, g)
-
-    def residue(level: int) -> tuple[tuple[int, ...], int] | None:
-        """The first Schreier generator of the level that does not sift to
-        the identity, as ``sift`` leaves it; None if every one does."""
-        orbit = orbits[level]
-        for p, (u, _) in orbit.items():
-            for k, g in enumerate(strong[level]):
-                if (p, k) not in tested[level]:
-                    u_inv = orbit[g[p]][1]
-                    h, drop = sift(tuple(u_inv[g[x]] for x in u), level + 1)
-                    if h != ident:
-                        return h, drop
-                    tested[level].add((p, k))
-        return None
-
-    level = len(base) - 1
-    while level >= 0:
-        found = residue(level)
-        if found is None:
-            level -= 1
-            continue
-        h, drop = found
-        if drop == len(base):
-            add_level(h)
-        for i in range(level + 1, drop + 1):
-            add_generator(i, h)
-        level = drop
-    return orbits
+    gens = [p.images for p in perms if p.images != ident]
+    order = 1
+    while gens:
+        b = min(next(x for x in ident if g[x] != x) for g in gens)
+        trans = {b: ident}
+        orbit = [b]
+        for p in orbit:
+            for g in gens:
+                if g[p] not in trans:
+                    trans[g[p]] = tuple(g[x] for x in trans[p])
+                    orbit.append(g[p])
+        order *= len(orbit)
+        inverses = {p: inverse_images(u) for p, u in trans.items()}
+        kept: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        for p, u in trans.items():
+            for g in gens:
+                v_inv = inverses[g[p]]
+                h = tuple(v_inv[g[x]] for x in u)
+                for i in range(n):  # h fixes every point before i
+                    if h[i] != i:
+                        key = (i, h[i])
+                        if key not in kept:
+                            kept[key] = (h, inverse_images(h))
+                            break
+                        k_inv = kept[key][1]
+                        h = tuple(k_inv[y] for y in h)
+        gens = [k for k, _ in kept.values()]
+    return order

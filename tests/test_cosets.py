@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ def test_s3_over_x_frozen_table():
     assert [format_word(w) for w in table.rep_words] == ["", "y", "y x"]
     assert table.coset_action("x") == Perm.from_images([0, 2, 1])
     assert table.coset_action("y") == Perm.from_images([1, 0, 2])
+    with pytest.raises(ValueError, match="'z'"):
+        table.coset_action("z")
     rep = table.to_rep()
     assert rep.is_transitive()
     # acting by a representative word takes coset 0 to that coset
@@ -119,13 +122,15 @@ def test_schreier_counts_and_stabilization():
 
 def test_stabilizer_words_push_the_source_once(monkeypatch):
     pushes = []
-    real = StabilizerData._pushed
+    real = StabilizerData.__dict__["_source"].func
 
     def counted(self):
         pushes.append(self)
         return real(self)
 
-    monkeypatch.setattr(StabilizerData, "_pushed", counted)
+    source = cached_property(counted)
+    source.__set_name__(StabilizerData, "_source")
+    monkeypatch.setattr(StabilizerData, "_source", source)
     rep = PermRep(3, {"a": Perm.from_images([1, 2, 0]), "b": Perm.from_images([1, 0, 2])})
     stab = schreier_generators(rep)
     assert len(stab.transversal) == 3 and len(stab.generators) == 4

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -129,6 +131,61 @@ def test_generated_order_matches_the_closure_by_breadth_first_search(seed):
             assert generated_order(gens) > cap
         else:
             assert generated_order(gens) == len(want)
+
+
+def _cycles1(n, *cycles):
+    """The permutation of degree n with the given 1-based cycles."""
+    return Perm.from_cycles(n, [[x - 1 for x in c] for c in cycles])
+
+
+_M11 = [_cycles1(11, range(1, 12)), _cycles1(11, (3, 7, 11, 8), (4, 10, 5, 6))]
+
+LARGE_GROUPS = {
+    "M11": (_M11, 7920),
+    "M12": (
+        [Perm(g.images + (11,)) for g in _M11]
+        + [_cycles1(12, (1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10))],
+        95040,
+    ),
+    "S4 wr S3": (
+        [
+            _cycles1(12, (1, 2)),
+            _cycles1(12, (1, 2, 3, 4)),
+            _cycles1(12, (1, 5, 9), (2, 6, 10), (3, 7, 11), (4, 8, 12)),
+            _cycles1(12, (1, 5), (2, 6), (3, 7), (4, 8)),
+        ],
+        82944,
+    ),
+    "S3 x S4 x S5": (
+        [
+            _cycles1(12, (1, 2)),
+            _cycles1(12, (1, 2, 3)),
+            _cycles1(12, (4, 5)),
+            _cycles1(12, (4, 5, 6, 7)),
+            _cycles1(12, (8, 9)),
+            _cycles1(12, (8, 9, 10, 11, 12)),
+        ],
+        17280,
+    ),
+    "S10": ([Perm.transposition(10, i, i + 1) for i in range(9)], 3628800),
+    "A10": (
+        [Perm.from_cycles(10, [c]) for c in itertools.permutations(range(10), 3) if c[0] == min(c)],
+        1814400,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GROUPS))
+def test_generated_order_is_exact_above_the_closure_cap(name):
+    """Orders beyond the breadth-first oracle's reach, from the literature:
+    the Mathieu groups, a wreath product, an intransitive direct product, S10
+    from its adjacent transpositions and A10 from its 3-cycles.  The order
+    does not depend on the generators' order, an identity or a repeat."""
+    gens, order = LARGE_GROUPS[name]
+    n = gens[0].degree
+    assert generated_order(gens) == order
+    assert generated_order(gens[::-1]) == order
+    assert generated_order([Perm.identity(n), *gens, gens[0]]) == order
 
 
 def test_generated_order_cap_boundary():
