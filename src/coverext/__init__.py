@@ -1,103 +1,49 @@
 """Branched-cover extension toolkit: combinatorial cover extension across an
 inclusion of bases, braid-group actions, numerical slice monodromy, and Levi
-forms of Hartogs-type defining functions, driven by JSON scenarios."""
+forms of Hartogs-type defining functions, driven by JSON scenarios.
 
-from .braids import (
-    MinimalExtensionResult,
-    braid_presentation,
-    hom_search,
-    minimal_extension_degree,
-    standard_rep,
-)
-from .cosets import CosetTable, Presentation, StabilizerData, schreier_generators, todd_coxeter
-from .cpoly import BivarPoly, CPoly, discriminant, root_bound, roots, sylvester_resultant
-from .errors import (
-    CapExceeded,
-    CoverextError,
-    DegenerateCover,
-    NotSmooth,
-    NumericFailure,
-    SchemaError,
-    SurjectivityError,
-)
-from .extension import (
-    ExtensionResult,
-    Inclusion,
-    abelianized_surjective,
-    two_sheet_unique,
-    weak_extend,
-)
-from .hartogs import LeviData, levi_matrix, levi_signature, rho_alpha
-from .monodromy import (
-    CoverSlice,
-    MonodromyResult,
-    auto_basepoint,
-    branch_points,
-    full_monodromy,
-    separates_fiber,
-    track_path,
-    track_to,
-    weierstrass_poly_of_function,
-    z_discriminant,
-)
-from .perms import Perm, format_cycles, generate, generated_order
-from .reps import PermRep
-from .scenarios import Report, run_bundled, run_file, run_payload
-from .words import Word, format_word, parse_word
+Every export is listed once, in ``_EXPORTS`` under the module that defines
+it, and resolves on first read (PEP 562): ``import coverext`` loads no
+submodule, and only ``cpoly``, ``monodromy`` and ``hartogs`` load numpy, so
+group work never does.  A submodule read as an attribute is imported too.
+"""
 
-__all__ = [
-    "BivarPoly",
-    "CPoly",
-    "CapExceeded",
-    "CosetTable",
-    "CoverSlice",
-    "CoverextError",
-    "DegenerateCover",
-    "ExtensionResult",
-    "Inclusion",
-    "LeviData",
-    "MinimalExtensionResult",
-    "MonodromyResult",
-    "NotSmooth",
-    "NumericFailure",
-    "Perm",
-    "PermRep",
-    "Presentation",
-    "Report",
-    "SchemaError",
-    "StabilizerData",
-    "SurjectivityError",
-    "Word",
-    "abelianized_surjective",
-    "auto_basepoint",
-    "braid_presentation",
-    "branch_points",
-    "discriminant",
-    "format_cycles",
-    "format_word",
-    "full_monodromy",
-    "generate",
-    "generated_order",
-    "hom_search",
-    "levi_matrix",
-    "levi_signature",
-    "minimal_extension_degree",
-    "parse_word",
-    "rho_alpha",
-    "root_bound",
-    "roots",
-    "run_bundled",
-    "run_file",
-    "run_payload",
-    "schreier_generators",
-    "separates_fiber",
-    "standard_rep",
-    "sylvester_resultant",
-    "todd_coxeter",
-    "track_path",
-    "track_to",
-    "two_sheet_unique",
-    "weak_extend",
-    "weierstrass_poly_of_function",
-    "z_discriminant",
-]
+from __future__ import annotations
+
+import importlib
+
+_EXPORTS = {
+    "braids": ("MinimalExtensionResult", "braid_presentation", "hom_search",
+               "minimal_extension_degree", "standard_rep"),
+    "cosets": ("CosetTable", "Presentation", "StabilizerData", "schreier_generators", "todd_coxeter"),
+    "cpoly": ("BivarPoly", "CPoly", "discriminant", "root_bound", "roots", "sylvester_resultant"),
+    "errors": ("CapExceeded", "CoverextError", "DegenerateCover", "NotSmooth", "NumericFailure",
+               "SchemaError", "SurjectivityError"),
+    "extension": ("ExtensionResult", "Inclusion", "abelianized_surjective", "two_sheet_unique",
+                  "weak_extend"),
+    "hartogs": ("LeviData", "levi_matrix", "levi_signature", "rho_alpha"),
+    "monodromy": ("CoverSlice", "MonodromyResult", "auto_basepoint", "branch_points",
+                  "full_monodromy", "separates_fiber", "track_path", "track_to",
+                  "weierstrass_poly_of_function", "z_discriminant"),
+    "perms": ("Perm", "format_cycles", "generate", "generated_order"),
+    "reps": ("PermRep",),
+    "scenarios": ("Report", "run_bundled", "run_file", "run_payload"),
+    "words": ("Word", "format_word", "parse_word"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    if name in _EXPORTS:  # importing a submodule binds it here
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -88,20 +88,18 @@ class PermRep:
     def act_word(self, word: Word) -> Perm:
         """Evaluate the induced homomorphism on a word (left letter acts first).
 
-        Composes raw image tuples and inverts each generator at most once, so
-        the cost is O(degree * |word|) plus O(degree) per inverted generator.
+        Composes raw image tuples, inverting a generator once per syllable
+        with a negative exponent, so the cost is O(degree * |word|).
         """
         out = tuple(range(self.degree))
-        inverses: dict[str, tuple[int, ...]] = {}
-        for name, step in word.letters():
+        for name, exp in word.syllables:
             if name not in self.images:
                 raise ValueError(f"representation has no generator {name!r}")
             img = self.images[name].images
-            if step < 0:
-                if name not in inverses:
-                    inverses[name] = inverse_images(img)
-                img = inverses[name]
-            out = tuple(img[y] for y in out)
+            if exp < 0:
+                img = inverse_images(img)
+            for _ in range(abs(exp)):
+                out = tuple(img[y] for y in out)
         return Perm(out)
 
     def orbit(self, point: int) -> tuple[int, ...]:

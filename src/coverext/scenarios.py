@@ -15,6 +15,12 @@ bytes.  Wall-clock timings are returned separately for console display.
 Wire conventions: complex numbers are ``[re, im]`` pairs, permutations enter
 as image lists and leave as ``{"images": [...], "cycles": "(0 1)"}``, words
 use the ``alpha1 alpha2^-1`` syntax, and every number must be finite.
+
+The runner holds no numerics of its own: ``cpoly``, ``monodromy`` and
+``hartogs`` (and with them numpy) are imported inside the parsers and runners
+that need them, so extension and braid-search runs never load numpy.  The
+Hartogs sweep itself, its draws, chunks and tallies, is
+:func:`coverext.hartogs.signature_sweep`; this module parses and formats.
 """
 
 from __future__ import annotations
@@ -25,20 +31,18 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any, Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .braids import SEARCH_CAP, _search_space, hom_search, minimal_extension_degree
 from .cosets import CosetTable, Presentation
-from .cpoly import BivarPoly
 from .errors import CapExceeded, SchemaError, SurjectivityError
 from .extension import Inclusion, two_sheet_unique, weak_extend
-from .hartogs import _check_levi_shape, _levi_batch
-from .monodromy import CoverSlice, full_monodromy, separates_fiber, weierstrass_poly_of_function
 from .perms import Perm, format_cycles
 from .reps import PermRep
 from .words import Word, format_word, parse_word
+
+if TYPE_CHECKING:
+    from .cpoly import BivarPoly
 
 VERDICT_MATCHES = "MATCHES"
 VERDICT_CONTRADICTS = "CONTRADICTS"
@@ -46,16 +50,6 @@ VERDICT_NOT_CLAIMED = "NOT-CLAIMED"
 
 # Read by run_payload itself; a runner sees only the remaining body.
 _ENVELOPE = ("kind", "name", "description", "claims")
-
-# Largest stencil, in complex entries P * (8n^2 + 1) * n, that a hartogs-check
-# case evaluates in one batch of P points (128 KiB); a case of any count draws
-# and judges its points in chunks of at most this size, and of at least one
-# point.  Chunks twice as large saved about 5% of the `paper` benchmark's wall
-# time and cost about 0.5 MB more of its peak RSS.
-LEVI_CHUNK_ENTRIES = 1 << 13
-# Bounds of a hartogs-check point's draws, slot 0 its radii and slot 1 its angles
-_SWEEP_LOW = np.array([[0.25], [0.0]])
-_SWEEP_HIGH = np.array([[0.7], [2.0 * np.pi]])
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +160,14 @@ def _as_word(v: Any, path: str, alphabet: Sequence[str]) -> Word:
         raise _ctx(path, str(exc)) from exc
 
 
+def _checked(check: Callable[..., None], path: str, *args: Any) -> None:
+    """Run a library's own range check, its ValueError a schema error at ``path``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise _ctx(path, str(exc)) from exc
+
+
 def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
     extra = sorted(set(obj) - allowed)
     if extra:
@@ -207,6 +209,8 @@ def _as_inclusion(v: Any, path: str, rho0: PermRep) -> Inclusion:
 
 
 def _as_bivar(v: Any, path: str) -> BivarPoly:
+    from .cpoly import BivarPoly
+
     raw = _as_dict(v, path)
     _check_keys(raw, {"w_coeffs"}, path)
     rows = _field(raw, "w_coeffs", path, _items)
@@ -383,6 +387,8 @@ def _run_braid_search(body: dict) -> _Outcome:
 
 
 def _run_slice_monodromy(body: dict) -> _Outcome:
+    from .monodromy import CoverSlice, full_monodromy, separates_fiber, weierstrass_poly_of_function
+
     path = "scenario"
     _check_keys(body, {"cover", "basepoint", "refine", "function", "separation_points"}, path)
     cover = CoverSlice(_field(body, "cover", path, _as_bivar))
@@ -420,6 +426,8 @@ def _run_slice_monodromy(body: dict) -> _Outcome:
 
 
 def _as_case(v: Any, path: str) -> dict:
+    from .hartogs import _check_alpha, _check_levi_shape
+
     c = _as_dict(v, path)
     _check_keys(c, {"n", "q", "alpha", "count", "seed"}, path)
     case = {
@@ -427,55 +435,44 @@ def _as_case(v: Any, path: str) -> dict:
         "q": _field(c, "q", path, _as_int),
         "alpha": _field(c, "alpha", path, _as_number),
         "count": _field(c, "count", path, _as_positive_int),
-        "seed": _field(c, "seed", path, _as_int),
+        "seed": _field(c, "seed", path, _as_nonnegative_int),
     }
-    try:
-        _check_levi_shape(case["n"], case["q"])
-    except ValueError as exc:
-        raise _ctx(path, str(exc)) from exc
+    _checked(_check_alpha, path + ".alpha", case["alpha"])
+    _checked(_check_levi_shape, path, case["n"], case["q"])
     return case
 
 
 def _run_hartogs_check(body: dict) -> _Outcome:
+    from .hartogs import _check_r, signature_sweep
+
     path = "scenario"
     _check_keys(body, {"r", "cases"}, path)
     r = _field(body, "r", path, _as_number)
+    _checked(_check_r, path, r)
+    cases = [_as_case(c, p) for c, p in _field(body, "cases", path, _items)]
+    if not cases:
+        raise _ctx(path + ".cases", "needs at least one case")
     cases_out = []
-    worst_dev = 0.0
-    all_expected = True
-    for case in [_as_case(c, p) for c, p in _field(body, "cases", path, _items)]:
+    for case in cases:
         n, q = case["n"], case["q"]
-        rng = np.random.default_rng(case["seed"])
-        sig_counts: dict[str, int] = {}
-        case_dev = 0.0
-        chunk = max(1, LEVI_CHUNK_ENTRIES // ((8 * n * n + 1) * n))
-        for start in range(0, case["count"], chunk):
-            # per point, n radii then n angles: the stream order of one point at a time
-            draws = rng.uniform(_SWEEP_LOW, _SWEEP_HIGH, size=(min(chunk, case["count"] - start), 2, n))
-            points = draws[:, 0] * np.exp(1j * draws[:, 1])
-            for data in _levi_batch(points, q, case["alpha"], r):
-                key = ",".join(str(x) for x in data.signature)
-                sig_counts[key] = sig_counts.get(key, 0) + 1
-                for e in data.eigenvalues:
-                    if e < 0:
-                        case_dev = max(case_dev, abs(e + 2.0))
+        counts, dev = signature_sweep(n, q, case["alpha"], r, case["count"], case["seed"])
+        sig_counts = dict(sorted((",".join(map(str, sig)), k) for sig, k in counts.items()))
         expected = f"{q},{n - q},0"
-        case_ok = set(sig_counts) == {expected}
-        all_expected = all_expected and case_ok
-        worst_dev = max(worst_dev, case_dev)
         cases_out.append(
             dict(
                 case,
                 expected_signature=expected,
-                signature_counts=dict(sorted(sig_counts.items())),
-                max_negative_deviation_from_minus_2=case_dev,
-                signatures_as_expected=case_ok,
+                signature_counts=sig_counts,
+                max_negative_deviation_from_minus_2=dev,
+                signatures_as_expected=set(sig_counts) == {expected},
             )
         )
     return {
         "cases": cases_out,
-        "all_signatures_expected": all_expected,
-        "max_negative_deviation_from_minus_2": worst_dev,
+        "all_signatures_expected": all(c["signatures_as_expected"] for c in cases_out),
+        "max_negative_deviation_from_minus_2": max(
+            c["max_negative_deviation_from_minus_2"] for c in cases_out
+        ),
     }, None
 
 

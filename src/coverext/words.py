@@ -95,17 +95,11 @@ class Word:
         reduction is confluent, so this is the product of the images.
         """
         pairs: list[tuple[str, int]] = []
-        inverses: dict[str, tuple[tuple[str, int], ...]] = {}
         for name, exp in self.syllables:
             if name not in mapping:
                 raise ValueError(f"no image given for generator {name!r}")
-            if exp > 0:
-                img = mapping[name].syllables
-            else:
-                if name not in inverses:
-                    inverses[name] = mapping[name].inverse().syllables
-                img = inverses[name]
-            pairs.extend(img * abs(exp))
+            img = mapping[name] if exp > 0 else mapping[name].inverse()
+            pairs.extend(img.syllables * abs(exp))
         return Word(tuple(pairs))
 
     def __str__(self) -> str:

@@ -121,15 +121,16 @@ def test_stacked_levi_forms_equal_the_one_point_reference_bit_for_bit():
                 points = np.array([random_point(rng, n) for _ in range(int(rng.integers(1, 6)))])
                 if alpha in (1.0, 2.0, 3.0):
                     points[rng.integers(0, len(points)), n - q :] = 0.0
-                batch = _levi_batch(points, q, alpha, r)
-                assert len(batch) == len(points)
-                for w, data in zip(points, batch):
+                mats, eigs, sigs = _levi_batch(points, q, alpha, r)
+                assert len(mats) == len(eigs) == len(sigs) == len(points)
+                for w, mat, eig, sig in zip(points, mats, eigs, sigs):
+                    spectrum = (tuple(eig.tolist()), tuple(sig.tolist()))
                     want = levi_matrix_one_point(w, q, alpha, r)
-                    assert data.matrix.tobytes() == want.tobytes()
-                    assert (data.eigenvalues, data.signature) == levi_eigenvalues_one_point(want)
+                    assert mat.tobytes() == want.tobytes()
+                    assert spectrum == levi_eigenvalues_one_point(want)
                     one = levi_signature(w, q, alpha, r)
                     assert one.matrix.tobytes() == want.tobytes()
-                    assert (one.eigenvalues, one.signature) == (data.eigenvalues, data.signature)
+                    assert (one.eigenvalues, one.signature) == spectrum
                     assert levi_matrix(w, q, alpha, r).tobytes() == want.tobytes()
 
 
@@ -168,6 +169,23 @@ def test_an_overflowing_levi_form_is_a_numeric_failure_in_point_order():
         _levi_batch(np.array([far, huge], dtype=complex), 1, 3.5, 0.5)
     with pytest.raises(ValueError, match="finite"):
         levi_signature(flat, 1, float("inf"), 0.5)
+
+
+@pytest.mark.parametrize(
+    "n, q, alpha, r, count, seed",
+    [(3, 2, 3.5, 0.5, 40, 5), (5, 2, 0.3, 0.8, 19, 17), (2, 1, 2.0, 0.2, 3, 0), (8, 7, 1.0, 0.6, 5, 2**40)],
+)
+def test_signature_sweep_tallies_what_levi_signature_gives_at_the_same_draws(n, q, alpha, r, count, seed):
+    rng = np.random.default_rng(seed)
+    want: dict = {}
+    worst = 0.0
+    for _ in range(count):  # one point at a time: n radii, then n angles
+        radii = rng.uniform(0.25, 0.7, size=n)
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        data = levi_signature(radii * np.exp(1j * angles), q, alpha, r)
+        want[data.signature] = want.get(data.signature, 0) + 1
+        worst = max([worst] + [abs(e + 2.0) for e in data.eigenvalues if e < 0])
+    assert hartogs.signature_sweep(n, q, alpha, r, count, seed) == (want, worst)
 
 
 def test_levi_dimension_is_capped():

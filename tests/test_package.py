@@ -47,6 +47,48 @@ def test_every_exported_name_resolves():
     assert set(namespace) - {"__builtins__"} == set(coverext.__all__)
 
 
+def _fresh(script: str, *args: str) -> list:
+    """The JSON that ``script`` prints last, run in a fresh interpreter on ``src/``."""
+    src = str(Path(coverext.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_GROUP_RUNS_WITHOUT_NUMPY = """
+import json, os, sys
+from importlib import resources
+loaded = []
+import coverext
+loaded.append("numpy" in sys.modules)
+import coverext.braids
+loaded.append("numpy" in sys.modules)
+import coverext.cli
+loaded.append("numpy" in sys.modules)
+data = resources.files("coverext") / "scenarios_data"
+for name in sys.argv[1:]:
+    assert coverext.cli.main(["run", str(data / f"{name}.json"), "--out", os.devnull]) == 0
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_the_package_and_group_scenario_runs_never_load_numpy():
+    names = ["two_sheet_extension", "example3_extension", "braid_4_3_search", "minimal_extension_degree"]
+    assert _fresh(_GROUP_RUNS_WITHOUT_NUMPY, *names) == [False] * (3 + len(names))
+
+
+def test_a_bare_import_resolves_submodules_and_exports():
+    script = """
+import json, coverext
+print(json.dumps([coverext.monodromy.__name__, coverext.weak_extend.__module__]))
+"""
+    assert _fresh(script) == ["coverext.monodromy", "coverext.extension"]
+
+
 def test_benchmark_workloads_build_and_pass_their_checks():
     """Each workload builds at seed 1 from this checkout, the tracer wraps
     every entry point it names and lets go of them, and one pass of each

@@ -9,7 +9,7 @@ from time import perf_counter
 
 import pytest
 
-from coverext import scenarios
+from coverext import hartogs
 from coverext.errors import CapExceeded, DegenerateCover, NotSmooth, NumericFailure, SchemaError
 from coverext.monodromy import MonodromyResult
 from coverext.scenarios import (
@@ -439,27 +439,50 @@ def _sweep_case(**case):
 
 def test_hartogs_chunks_give_the_report_of_single_points(monkeypatch):
     n = 5
-    chunk = scenarios.LEVI_CHUNK_ENTRIES // ((8 * n * n + 1) * n)
+    chunk = hartogs.LEVI_CHUNK_ENTRIES // ((8 * n * n + 1) * n)
     payload = _sweep_case(n=n, count=2 * chunk + 3)
     chunked = run_payload(payload).to_json()
-    monkeypatch.setattr(scenarios, "LEVI_CHUNK_ENTRIES", 1)  # one point per batch
+    monkeypatch.setattr(hartogs, "LEVI_CHUNK_ENTRIES", 1)  # one point per batch
     assert run_payload(payload).to_json() == chunked
 
 
 def test_hartogs_sweep_makes_one_levi_call_per_chunk(monkeypatch):
     sizes = []
-    batch = scenarios._levi_batch
+    batch = hartogs._levi_batch
 
     def counting(points, *args):
         sizes.append(len(points))
         return batch(points, *args)
 
-    monkeypatch.setattr(scenarios, "_levi_batch", counting)
+    monkeypatch.setattr(hartogs, "_levi_batch", counting)
     report = run_bundled("hartogs_signature_sweep")
     # 40 points at each of n = 3, 4, 5: chunks of at most 37, 15 and 8 points
     assert sizes == [37, 3, 15, 15, 10, 8, 8, 8, 8, 8]
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))["hartogs_signature_sweep"]
     assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == recorded["sha256"]
+
+
+@pytest.mark.parametrize(
+    "case, where, message",
+    [
+        (None, r"cases", "needs at least one case"),
+        ({"alpha": -1}, r"cases\[1\]\.alpha", "alpha must be positive and finite"),
+        ({"seed": -1}, r"cases\[1\]\.seed", "expected a non-negative integer, got -1"),
+    ],
+    ids=["no-cases", "negative-alpha", "negative-seed"],
+)
+def test_hartogs_input_is_checked_at_its_path_before_any_case_runs(monkeypatch, case, where, message):
+    def no_levi_forms(*args):
+        raise AssertionError("a case ran before the input was checked")
+
+    monkeypatch.setattr(hartogs, "_levi_batch", no_levi_forms)
+    payload = _sweep_case(n=3, count=1)
+    if case is None:
+        payload["cases"] = []
+    else:
+        payload["cases"].append({**payload["cases"][0], **case})
+    with pytest.raises(SchemaError, match=rf"^at scenario\.{where}: {message}$"):
+        run_payload(payload)
 
 
 def test_hartogs_dimension_over_the_levi_cap_is_a_schema_error():
