@@ -12,18 +12,18 @@ diagonal; the reported Levi matrix is scaled by 2 so the w1 block is exactly
 with S = ||w2||^2 and kappa = 1 - r^2/4; all positive away from w2 = 0.
 
 Levi forms are evaluated a batch of points at a time, in one stacked pass:
-the closed-form matrices as one (P, n, n) stack, the finite-difference
-complex Hessians that cross-check them from one call of the defining function
-on all P * (8n^2 + 1) stencil points, and the spectra from one stacked
-``eigvalsh``.  A single point is a batch of one.  Levi matrices are built
-only up to ``MAX_DIM`` coordinates.  ``signature_sweep`` runs the seeded
-signature check of a ``hartogs-check`` scenario: it draws the points, judges
-them a chunk at a time, and tallies the signatures.
+the closed-form matrices as one (P, n, n) stack, the exact complex Hessians
+that cross-check them from one call of the defining function on a
+second-order jet of the P points (value, gradient and Hessian along the 2n
+real coordinates), and the spectra from one stacked ``eigvalsh``.  A single
+point is a batch of one.  Levi matrices are built only up to ``MAX_DIM``
+coordinates.  ``signature_sweep`` runs the seeded signature check of a
+``hartogs-check`` scenario: it draws the points, judges them a chunk at a
+time, and tallies the signatures.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,16 +32,13 @@ import numpy as np
 
 from .errors import NotSmooth, NumericFailure
 
-FD_STEP = 1e-4  # step of the finite-difference Hessian that cross-checks each Levi matrix
-FD_REL_TOL = 1e-5  # its allowed deviation, relative to 1 + the largest Levi entry
+LEVI_REL_TOL = 1e-12  # allowed deviation of a Levi matrix from rho's jet, relative to 1 + its largest entry
 ZERO_TOL = 1e-8  # eigenvalues this small relative to 1 + the largest count as zero
-MAX_DIM = 64  # largest n a Levi matrix is built for; one point's stencil is then about 33 MB
+MAX_DIM = 64  # largest n a Levi matrix is built for; one point's jet check then peaks near 34 MB
 
-# Largest stencil, in complex entries P * (8n^2 + 1) * n, that signature_sweep
+# Largest jet array, in complex entries P * (2n)^2 * n, that signature_sweep
 # evaluates in one batch of P points (128 KiB); a sweep of any count draws and
-# judges its points in chunks of at most this size, and of at least one
-# point.  Chunks twice as large saved about 5% of the `paper` benchmark's wall
-# time and cost about 0.5 MB more of its peak RSS.
+# judges its points in chunks of at most this size, and of at least one point.
 LEVI_CHUNK_ENTRIES = 1 << 13
 # Bounds of a swept point's draws, slot 0 its radii and slot 1 its angles
 _SWEEP_LOW = np.array([[0.25], [0.0]])
@@ -77,7 +74,7 @@ def _check_r(r: float) -> None:
 
 
 def _rho_rows(pts: np.ndarray, q: int, alpha: float, r: float) -> np.ndarray:
-    """rho_alpha at every point of a (..., n) complex array; arguments unchecked."""
+    """rho_alpha at every point of a (..., n) complex array or :class:`_Jet`; arguments unchecked."""
     n1 = pts.shape[-1] - q
     kappa = 1.0 - r * r / 4.0
     blocks = np.zeros((pts.shape[-1], 2))
@@ -94,63 +91,61 @@ def rho_alpha(w: Sequence[complex], q: int, alpha: float, r: float) -> float:
     return float(_rho_rows(_point(w, q)[None, :], q, alpha, r)[0])
 
 
-@functools.lru_cache(maxsize=16)
-def _stencil(n: int, h: float) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """The 8n^2 + 1 stencil points as steps from the centre, and where each
-    real Hessian block finds its entries among the second differences.
-
-    Rows: the centre, +h e_u, -h e_u, then h e_u + h e_v, h e_u - h e_v,
-    -h e_u + h e_v and -h e_u - h e_v over the pairs u < v of the 2n real
-    coordinates (x_0 .. x_{n-1}, then y_0 .. y_{n-1}).  Row k moves complex
-    coordinate ``cols[i, k]`` by ``steps[i, k]`` for i = 0, 1 (a zero step
-    pads the rows that move one coordinate or none), so the cache stays
-    O(n^2) where the dense offsets would take O(n^3).  The second differences
-    are the 2n plain ones, then the mixed ones in pair order; the (n, n)
-    index arrays pick the xx, yy, xy and yx blocks from them.
+@dataclass(frozen=True)
+class _Jet:
+    """Exact second derivatives in forward mode, as hyper-dual numbers carry
+    them (Fike & Alonso, AIAA 2011-886): a value with its gradient and
+    Hessian along the 2n real coordinates x_0 .. x_{n-1}, y_0 .. y_{n-1}, as
+    arrays of shapes S, (2n,) + S and (2n, 2n) + S.  It has the operations
+    :func:`_rho_rows` uses: ``+``, unary ``-``, scalar ``*``, ``@`` by a
+    constant matrix, indexing of trailing axes, ``.real``, ``.imag`` and
+    ``**`` by a scalar; only ``**`` carries a chain rule.
     """
-    m = 2 * n
-    iu, iv = np.triu_indices(m, k=1)
-    col = np.arange(m) % n
-    step = h * np.where(np.arange(m) < n, 1.0, 1j)
-    pad = np.zeros(m)
-    cols = np.array([np.concatenate([[0], col, col, *[col[iu]] * 4]),
-                     np.concatenate([[0], col, col, *[col[iv]] * 4])])
-    steps = np.array([
-        np.concatenate([[0], step, -step, step[iu], step[iu], -step[iu], -step[iu]]),
-        np.concatenate([[0], pad, pad, step[iv], -step[iv], step[iv], -step[iv]]),
-    ])
-    at = np.diag(np.arange(m))
-    at[iu, iv] = at[iv, iu] = m + np.arange(iu.size)
-    blocks = (at[:n, :n], at[n:, n:], at[:n, n:], at[n:, :n])
-    for a in (cols, steps, *blocks):
-        a.setflags(write=False)
-    return cols, steps, blocks
 
+    val: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
 
-def _fd_complex_hessian(
-    f_rows: Callable[[np.ndarray], np.ndarray], w: np.ndarray, h: float
-) -> np.ndarray:
-    """Complex Hessian d^2 f / dw_j dwbar_k from real central differences.
+    @classmethod
+    def seed(cls, points: np.ndarray) -> _Jet:
+        """The coordinates of a (P, n) complex array: x_j moves w_j by 1, y_j by i."""
+        count, n = points.shape
+        grad = np.zeros((2 * n, count, n), dtype=complex)
+        grad[np.arange(2 * n), :, np.arange(2 * n) % n] = np.repeat([1.0, 1j], n)[:, None]
+        # a zero Hessian as a broadcast view, which holds no memory
+        return cls(points, grad, np.broadcast_to(0j, (2 * n,) + grad.shape))
 
-    ``w`` is one point (n,) or a stack (..., n); the result is (..., n, n).
-    ``f_rows`` evaluates f at every point of a (..., m, n) array, and gets
-    all 8n^2 + 1 stencil points of every point of ``w`` in one call.
-    """
-    n = w.shape[-1]
-    m = 2 * n
-    cols, steps, (xx, yy, xy, yx) = _stencil(n, h)
-    rows = np.arange(cols.shape[1])
-    pts = np.repeat(w[..., None, :], rows.size, axis=-2)
-    for c, step in zip(cols, steps):
-        pts[..., rows, c] += step
-    vals = f_rows(pts)
-    centre, plus, minus = vals[..., :1], vals[..., 1 : 1 + m], vals[..., 1 + m : 1 + 2 * m]
-    mixed = vals[..., 1 + 2 * m :].reshape(vals.shape[:-1] + (4, m * (m - 1) // 2))
-    pp, pm, mp, mm = np.moveaxis(mixed, -2, 0)
-    second = np.concatenate(
-        [(plus - 2.0 * centre + minus) / (h * h), (pp - pm - mp + mm) / (4.0 * h * h)], axis=-1
-    )
-    return 0.25 * ((second[..., xx] + second[..., yy]) + 1j * (second[..., xy] - second[..., yx]))
+    shape = property(lambda self: self.val.shape)
+    real = property(lambda self: self._map(np.real))
+    imag = property(lambda self: self._map(np.imag))
+
+    def _map(self, f: Callable[[np.ndarray], np.ndarray]) -> _Jet:
+        return _Jet(f(self.val), f(self.grad), f(self.hess))
+
+    def __add__(self, other: _Jet | float) -> _Jet:
+        if isinstance(other, _Jet):
+            return _Jet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+        return _Jet(self.val + other, self.grad, self.hess)
+
+    def __neg__(self) -> _Jet:
+        return self._map(np.negative)
+
+    def __rmul__(self, c: float) -> _Jet:
+        return self._map(lambda a: c * a)
+
+    def __matmul__(self, mat: np.ndarray) -> _Jet:
+        return self._map(lambda a: a @ mat)
+
+    def __getitem__(self, key: tuple) -> _Jet:  # a key of the trailing axes, such as (..., k)
+        return self._map(lambda a: a[key])
+
+    def __pow__(self, a: float) -> _Jet:
+        v, g = self.val, self.grad
+        d1 = a * v ** (a - 1)
+        # (a - 1) scales the power first, so an overflowing a * (a - 1) never meets an
+        # underflowed power as inf * 0; a = 1 has no second term, even where v = 0
+        d2 = 0.0 if a == 1 else a * ((a - 1) * v ** (a - 2))
+        return _Jet(v**a, d1 * g, d1 * self.hess + d2 * (g[:, None] * g[None, :]))
 
 
 @dataclass(frozen=True)
@@ -230,20 +225,23 @@ def _levi_batch(
     a (P, n, n) stack, a (P, n) array of ascending spectra, and a (P, 3)
     array of (positive, negative, zero) counts.
 
-    Each closed-form matrix is compared entrywise against a finite-difference
-    complex Hessian (scaled by the same factor 2) with step ``FD_STEP``;
-    disagreement beyond ``FD_REL_TOL * (1 + max entry)`` raises
-    :class:`NumericFailure` naming the worst entry.  The first failing row
-    in order decides the error; a row's :class:`NotSmooth`, or the
-    :class:`NumericFailure` of a closed form that overflows, comes before
-    its finite-difference check.
+    Each closed-form matrix is compared entrywise against the complex
+    Hessian of rho, scaled by the same factor 2, that :func:`_rho_rows`
+    gives when evaluated on a :class:`_Jet` seeded at the points: exact
+    second derivatives, so only rounding separates the two.  Disagreement
+    beyond ``LEVI_REL_TOL * (1 + max entry)`` raises :class:`NumericFailure`
+    naming the worst entry.  The first failing row in order decides the
+    error; a row's :class:`NotSmooth`, or the :class:`NumericFailure` of a
+    closed form that overflows, comes before its jet check.
     """
     mats, failure = _levi_matrices(points, q, alpha, r)
     count, n = len(mats), points.shape[1]
-    fd = 2.0 * _fd_complex_hessian(lambda pts: _rho_rows(pts, q, alpha, r), points[:count], FD_STEP)
+    h = _rho_rows(_Jet.seed(points[:count]), q, alpha, r).hess  # (2n, 2n, P), x before y
+    # 2 * 1/4 (H_xx + H_yy + i (H_xy - H_yx)), moved to one (n, n) matrix per point
+    jet = 0.5 * np.moveaxis((h[:n, :n] + h[n:, n:]) + 1j * (h[:n, n:] - h[n:, :n]), -1, 0)
     entries = mats.reshape(count, n * n)
-    allowed = FD_REL_TOL * (1.0 + np.abs(entries).max(axis=1))
-    dev = np.abs(fd.reshape(count, n * n) - entries)
+    allowed = LEVI_REL_TOL * (1.0 + np.abs(entries).max(axis=1))
+    dev = np.abs(jet.reshape(count, n * n) - entries)
     worst = dev.argmax(axis=1)
     err = dev[np.arange(count), worst]
     bad = np.flatnonzero(~(err <= allowed))  # a NaN deviation fails too
@@ -251,7 +249,7 @@ def _levi_batch(
         i = int(bad[0])
         j, k = divmod(int(worst[i]), n)
         raise NumericFailure(
-            f"closed-form Levi matrix deviates from finite differences by {err[i]:.3e} "
+            f"closed-form Levi matrix deviates from the jet of rho by {err[i]:.3e} "
             f"at entry ({j}, {k}) (allowed {allowed[i]:.3e})"
         )
     if failure is not None:
@@ -264,8 +262,8 @@ def _levi_batch(
 
 
 def levi_signature(w: Sequence[complex], q: int, alpha: float, r: float) -> LeviData:
-    """Levi matrix, eigenvalues and inertia at one point, cross-checked by
-    differencing: :func:`_levi_batch` on a batch of one."""
+    """Levi matrix, eigenvalues and inertia at one point, cross-checked
+    against the jet of rho: :func:`_levi_batch` on a batch of one."""
     mats, eigs, sigs = _levi_batch(np.asarray(list(w), dtype=complex)[None, :], q, alpha, r)
     return LeviData(mats[0], tuple(eigs[0].tolist()), tuple(sigs[0].tolist()))
 
@@ -280,14 +278,14 @@ def signature_sweep(
     Each coordinate of a point has modulus uniform in [0.25, 0.7] and
     argument uniform in [0, 2 pi), drawn per point as n radii then n angles.
     The points are judged by :func:`_levi_batch` in chunks of at most
-    ``LEVI_CHUNK_ENTRIES`` stencil entries; chunks consume the stream in the
+    ``LEVI_CHUNK_ENTRIES`` jet entries; chunks consume the stream in the
     same order as single points, so the chunk size never moves a result.
     """
     _check_levi_shape(n, q)
     rng = np.random.default_rng(seed)
     counts: dict[tuple[int, int, int], int] = {}
     worst = 0.0
-    per_point = _stencil(n, FD_STEP)[0].shape[1] * n  # entries of one point's stencil
+    per_point = 4 * n**3  # entries of one point's largest jet array, a (2n, 2n, n) Hessian
     chunk = max(1, LEVI_CHUNK_ENTRIES // per_point)
     for start in range(0, count, chunk):
         draws = rng.uniform(_SWEEP_LOW, _SWEEP_HIGH, size=(min(chunk, count - start), 2, n))

@@ -345,8 +345,9 @@ def breadth_first_tree(rows) -> tuple[list[int], list[list[int]]]:
 
 def fd_complex_hessian_loop(f, w: np.ndarray, h: float) -> np.ndarray:
     """Complex Hessian d^2 f / dw_j dwbar_k of a scalar f, one real central
-    difference at a time (16 n^2 scalar calls; the reference for the batched
-    stencil)."""
+    difference at a time (16 n^2 scalar calls).  An independent reference
+    for the exact Hessian of rho's jet; with step h it carries a truncation
+    error of order h^2, about 1e-8 at h = 1e-4."""
     n = w.size
 
     def ev(dx: np.ndarray, dy: np.ndarray) -> float:

@@ -6,7 +6,7 @@ import pytest
 from coverext import hartogs
 from coverext.errors import NotSmooth, NumericFailure
 from coverext.hartogs import (
-    _fd_complex_hessian,
+    _Jet,
     _levi_batch,
     _rho_rows,
     levi_matrix,
@@ -74,11 +74,17 @@ def test_degenerate_block_at_vanishing_w2():
         levi_signature([0.3, 0, 0], q=2, alpha=3.5, r=0.5)
 
 
-def test_finite_difference_guard_trips_on_coarse_step(monkeypatch):
-    w = [0.3, 0.2 + 0.1j, 0.4 - 0.2j]
-    monkeypatch.setattr(hartogs, "FD_STEP", 0.5)
-    with pytest.raises(NumericFailure, match=r"deviates .* at entry \(2, 2\) \(allowed"):
-        levi_signature(w, q=2, alpha=3.5, r=0.5)
+def test_the_jet_check_trips_on_a_closed_form_off_by_1e_7(monkeypatch):
+    closed_form = hartogs._levi_matrices
+
+    def off(*args):
+        mats, failure = closed_form(*args)
+        return mats * (1.0 + 1e-7), failure
+
+    monkeypatch.setattr(hartogs, "_levi_matrices", off)
+    # the -2 at (0, 0) is the largest entry, so it deviates the most
+    with pytest.raises(NumericFailure, match=r"deviates .* by 2\.000e-07 at entry \(0, 0\) \(allowed 3\.000e-12\)"):
+        levi_signature([0.3, 0.2 + 0.1j, 0.4 - 0.2j], q=2, alpha=3.5, r=0.5)
 
 
 def test_finite_difference_guard_trips_on_a_nan_deviation():
@@ -88,14 +94,17 @@ def test_finite_difference_guard_trips_on_a_nan_deviation():
         levi_signature([0.3, 0.4, 0.2j], q=1, alpha=1e300, r=0.5)
 
 
-def _check_batched_stencil(w, q, alpha):
-    # levi_signature's constants: FD_STEP 1e-4, FD_REL_TOL 1e-5
-    batched = _fd_complex_hessian(lambda pts: _rho_rows(pts, q, alpha, 0.5), w, 1e-4)
-    loop = fd_complex_hessian_loop(lambda p: rho_alpha(p, q, alpha, 0.5), w, 1e-4)
-    assert float(np.abs(batched - loop).max()) <= 1e-6
+def _check_jet_levi(w, q, alpha):
+    # the Levi matrix of rho's jet, 2 * 1/4 (H_xx + H_yy + i (H_xy - H_yx))
+    n = w.size
+    h = _rho_rows(_Jet.seed(w[None, :]), q, alpha, 0.5).hess[..., 0]
+    jet = 0.5 * ((h[:n, :n] + h[n:, n:]) + 1j * (h[:n, n:] - h[n:, :n]))
     mat = levi_matrix(w, q, alpha, 0.5)
     scale = 1.0 + float(np.abs(mat).max())
-    assert float(np.abs(2.0 * batched - mat).max()) <= 1e-5 * scale
+    assert float(np.abs(jet - mat).max()) <= hartogs.LEVI_REL_TOL * scale
+    # the loop reference differences with step 1e-4, so it is good to about 1e-8
+    loop = fd_complex_hessian_loop(lambda p: rho_alpha(p, q, alpha, 0.5), w, 1e-4)
+    assert float(np.abs(jet - 2.0 * loop).max()) <= 1e-5 * scale
 
 
 def test_batched_stencil_matches_loop_reference_and_closed_form():
@@ -103,13 +112,13 @@ def test_batched_stencil_matches_loop_reference_and_closed_form():
     for n in range(2, 9):
         for q in range(1, n):
             for alpha in (0.3, 1.0, 2.0, 3.5):
-                _check_batched_stencil(np.array(random_point(rng, n)), q, alpha)
+                _check_jet_levi(np.array(random_point(rng, n)), q, alpha)
     # integer alpha where the second block vanishes: the closed form is still defined
     for n, q in ((2, 1), (5, 2), (8, 7)):
         w = np.zeros(n, dtype=complex)
         w[: n - q] = random_point(rng, n - q)
         for alpha in (1.0, 2.0, 3.0):
-            _check_batched_stencil(w, q, alpha)
+            _check_jet_levi(w, q, alpha)
 
 
 def test_stacked_levi_forms_equal_the_one_point_reference_bit_for_bit():
@@ -134,19 +143,27 @@ def test_stacked_levi_forms_equal_the_one_point_reference_bit_for_bit():
                     assert levi_matrix(w, q, alpha, r).tobytes() == want.tobytes()
 
 
+def _answer_of_the_oracle(w, q, alpha, r):
+    return levi_eigenvalues_one_point(levi_matrix_one_point(np.asarray(w, dtype=complex), q, alpha, r))
+
+
 def test_the_first_failing_point_in_order_decides_the_error():
     rng = np.random.default_rng(43)
     points = np.array([random_point(rng, 3) for _ in range(5)])
+    far = points[4].copy()
+    far[1:] = 1e3  # far outside the domain: the jet keeps every digit there
+    data = levi_signature(far, 2, 3.5, 0.5)
+    assert (data.eigenvalues, data.signature) == _answer_of_the_oracle(far, 2, 3.5, 0.5)
     points[2, 1:] = 0.0  # not twice differentiable at alpha = 3.5
-    points[4, 1:] = 1e3  # far outside the domain: differencing loses every digit
+    points[4, 1] = np.nan  # the check fails on a NaN deviation
     with pytest.raises(NotSmooth):
         _levi_batch(points, 2, 3.5, 0.5)
-    with pytest.raises(NumericFailure) as alone:
+    with pytest.raises(NumericFailure, match="deviates from the jet of rho by nan") as alone:
         levi_signature(points[4], 2, 3.5, 0.5)
     with pytest.raises(NumericFailure) as batched:
         _levi_batch(np.delete(points, 2, axis=0), 2, 3.5, 0.5)
     assert str(batched.value) == str(alone.value)
-    # a point's finite-difference failure comes before a later point's NotSmooth
+    # a point's failed check comes before a later point's NotSmooth
     with pytest.raises(NumericFailure) as swapped:
         _levi_batch(points[[0, 4, 2]], 2, 3.5, 0.5)
     assert str(swapped.value) == str(alone.value)
@@ -164,9 +181,13 @@ def test_an_overflowing_levi_form_is_a_numeric_failure_in_point_order():
         _levi_batch(np.array([fine, huge, flat], dtype=complex), 1, alpha, 0.5)
     with pytest.raises(NotSmooth):
         _levi_batch(np.array([fine, flat, huge], dtype=complex), 1, alpha, 0.5)
-    far = [1e3, 1e3]  # differencing loses every digit there
-    with pytest.raises(NumericFailure, match="deviates from finite differences"):
-        _levi_batch(np.array([far, huge], dtype=complex), 1, 3.5, 0.5)
+    # a point's failed check comes before a later point's overflow
+    with pytest.raises(NumericFailure, match="deviates from the jet of rho by nan"):
+        _levi_batch(np.array([[0.3, np.nan], huge], dtype=complex), 1, alpha, 0.5)
+    far = [1e3, 1e3]  # -2 is zero next to the w2 block there, by the relative ZERO_TOL
+    data = levi_signature(far, 1, 3.5, 0.5)
+    assert (data.eigenvalues, data.signature) == _answer_of_the_oracle(far, 1, 3.5, 0.5)
+    assert data.signature == (1, 0, 1)
     with pytest.raises(ValueError, match="finite"):
         levi_signature(flat, 1, float("inf"), 0.5)
 

@@ -439,7 +439,7 @@ def _sweep_case(**case):
 
 def test_hartogs_chunks_give_the_report_of_single_points(monkeypatch):
     n = 5
-    chunk = hartogs.LEVI_CHUNK_ENTRIES // ((8 * n * n + 1) * n)
+    chunk = hartogs.LEVI_CHUNK_ENTRIES // ((2 * n) ** 2 * n)
     payload = _sweep_case(n=n, count=2 * chunk + 3)
     chunked = run_payload(payload).to_json()
     monkeypatch.setattr(hartogs, "LEVI_CHUNK_ENTRIES", 1)  # one point per batch
@@ -456,8 +456,8 @@ def test_hartogs_sweep_makes_one_levi_call_per_chunk(monkeypatch):
 
     monkeypatch.setattr(hartogs, "_levi_batch", counting)
     report = run_bundled("hartogs_signature_sweep")
-    # 40 points at each of n = 3, 4, 5: chunks of at most 37, 15 and 8 points
-    assert sizes == [37, 3, 15, 15, 10, 8, 8, 8, 8, 8]
+    # 40 points at each of n = 3, 4, 5: chunks of at most 75, 32 and 16 points
+    assert sizes == [40, 32, 8, 16, 16, 8]
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))["hartogs_signature_sweep"]
     assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == recorded["sha256"]
 
