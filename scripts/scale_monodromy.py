@@ -1,4 +1,4 @@
-"""Time slice monodromy over the generic-cover corpus and group orders up to S10.
+"""Time slice monodromy over two generic-cover sets and group orders up to S10.
 
 For each cover of the corpus (seeds 100-159, ``tests/oracles.generic_cover_rows``:
 degree 3 + seed % 6 in w, coefficients of z-degree 1 or 2) this prints the
@@ -11,6 +11,12 @@ corpus.  The encoding is ``tests/oracles.corpus_answer``, which the tier-1
 test that pins the digest shares.  A cover that answers with a lasso product
 other than its boundary loop ends the script with a non-zero exit status; a
 raised error is printed and counted but is not a wrong answer.
+
+The wide set (seeds 1000-1039, ``tests/oracles.wide_cover_rows``: degree
+4 + seed % 6 in w, coefficients of z-degree 1 to 3) follows in the same
+form, with a digest of its own.  Its discriminants span many decades, and
+the root finder warns of numpy overflows on some of them; no tier-1 test
+runs it, as it takes about half a minute.
 
 It then times ``generated_order`` on generators of S8, S9 and S10 in two
 shapes.  Few long generators: an adjacent transposition and an n-cycle, and
@@ -39,9 +45,10 @@ from coverext.monodromy import CoverSlice, full_monodromy
 from coverext.perms import Perm, generated_order
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import answer_digest, corpus_answer, generic_cover_rows  # noqa: E402
+from oracles import answer_digest, corpus_answer, generic_cover_rows, wide_cover_rows  # noqa: E402
 
-SEEDS = range(100, 160)
+CORPUS = range(100, 160)
+WIDE = range(1000, 1040)
 DEGREES = (8, 9, 10)
 
 
@@ -51,12 +58,13 @@ def timed(fn):
     return out, time.perf_counter() - t0
 
 
-def main() -> None:
+def cover_set(seeds, rows_of) -> None:
+    """Print one row per cover of the set, the total and the answer digest."""
     print(f"{'seed':>5} {'d':>3} {'branch':>7} {'monodromy_s':>12} {'order':>10}")
     total, errors = 0.0, 0
     answers = []
-    for seed in SEEDS:
-        rows = generic_cover_rows(seed)
+    for seed in seeds:
+        rows = rows_of(seed)
         cover = CoverSlice(BivarPoly.from_lists(rows))
         try:
             mono, dt = timed(lambda: full_monodromy(cover))
@@ -71,8 +79,14 @@ def main() -> None:
         answers.append(corpus_answer(seed, mono))
         order = answers[-1][-1]
         print(f"{seed:>5} {len(rows) - 1:>3} {len(mono.branch):>7} {dt:>12.3f} {order:>10}", flush=True)
-    print(f"total {total:.2f} s over {len(SEEDS) - errors} covers, {errors} raised")
+    print(f"total {total:.2f} s over {len(seeds) - errors} covers, {errors} raised")
     print(f"answers sha256 {answer_digest(answers)}")
+
+
+def main() -> None:
+    cover_set(CORPUS, generic_cover_rows)
+    print()
+    cover_set(WIDE, wide_cover_rows)
 
     print(f"\n{'group':>7} {'generated_order_s':>18} {'order':>9}")
     for n in DEGREES:

@@ -43,7 +43,6 @@ from .perms import Perm, generated_order
 
 Step = Callable[[complex], float]
 
-DEDUP_TOL = 1e-8  # discriminant roots this close merge before clusters are verified
 DISC_STRIP_TOL = 1e-9  # z-discriminant coefficients this small next to the largest drop
 MAX_DEPTH = 40  # bisection levels of one track_path step before it fails
 SEPARATION_TOL = 1e-8  # relative gap below which fiber values do not separate
@@ -141,60 +140,46 @@ def _newton_w(coeffs: Sequence[complex], w: complex) -> complex | None:
 
 
 def _clusters(points: Sequence[complex], tol: float) -> list[list[int]]:
-    """Single-linkage clusters of indices at the given merge distance."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[k] for k in sorted(groups)]
+    """Single-linkage clusters of indices at the given merge distance, in one
+    pass: each point joins, and so unites, every group that holds a point
+    within ``tol`` of it.  Each group is ascending, and the groups are ordered
+    by their least index."""
+    groups: list[list[int]] = []
+    for i, p in enumerate(points):
+        joined, apart = [i], []
+        for grp in groups:
+            if any(abs(p - points[j]) <= tol for j in grp):
+                joined += grp
+            else:
+                apart.append(grp)
+        groups = apart + [sorted(joined)]
+    return sorted(groups)
 
 
 def branch_points(cover: CoverSlice) -> tuple[complex, ...]:
     """Distinct branch points of the cover, each located to near machine accuracy.
 
     A zero of multiplicity m comes out of the root finder as a cluster of
-    radius ~eps^(1/m), far wider than any fixed dedup tolerance.  Clusters are
-    therefore collapsed only after verification: the centroid must Newton-
-    refine on the (m-1)-th derivative, and all lower derivatives must vanish
-    there to relative accuracy; otherwise the cluster stays as separate
-    points.  The refined representatives replace the raw cluster.
+    radius ~eps^(1/m), far wider than any fixed dedup tolerance.  The raw
+    roots are therefore clustered once, at a distance tau that scales with
+    the root bound, and a cluster of m > 1 roots is collapsed only after
+    verification: its centroid must Newton-refine on the (m-1)-th
+    derivative, and all lower derivatives must vanish there to relative
+    accuracy.  The refined point replaces a verified cluster; a rejected one
+    reports its m raw roots.
     """
     disc = z_discriminant(cover)
     if disc.degree < 1:
         return ()
     raw = list(roots(disc))
-
-    # Plain dedup first; each merged point remembers how many raw roots it ate,
-    # because a multiple zero can stagnate as a tight one-sided clump whose
-    # members are closer to each other than to the true root.
-    merged: list[complex] = []
-    counts: list[int] = []
-    for grp in _clusters(raw, DEDUP_TOL):
-        merged.append(sum(raw[i] for i in grp) / len(grp))
-        counts.append(len(grp))
-
     tau = 3e-4 * (1.0 + root_bound(disc))
     out: list[complex] = []
-    for grp in _clusters(merged, tau):
-        m = sum(counts[i] for i in grp)
+    for grp in _clusters(raw, tau):
+        m = len(grp)
         if m == 1:
-            out.append(merged[grp[0]])
+            out.append(raw[grp[0]])
             continue
-        centroid = sum(merged[i] * counts[i] for i in grp) / m
+        centroid = sum(raw[i] for i in grp) / m
         deriv = disc
         for _ in range(m - 1):
             deriv = deriv.derivative()
@@ -210,7 +195,7 @@ def branch_points(cover: CoverSlice) -> tuple[complex, ...]:
         if ok:
             out.append(refined)  # type: ignore[arg-type]
         else:
-            out.extend(merged[i] for i in grp)
+            out.extend(raw[i] for i in grp)
     return tuple(sorted((complex(z) for z in out), key=lambda z: (z.real, z.imag)))
 
 
@@ -470,11 +455,8 @@ def lasso_radii(branch: Sequence[complex], basepoint: complex) -> tuple[float, .
     """Safe circle radius per branch point: 0.4 x distance to nearest other
     branch point and to the basepoint, so disks stay pairwise disjoint and
     never contain the basepoint."""
-    out = []
-    for k, c in enumerate(branch):
-        others = [abs(c - branch[j]) for j in range(len(branch)) if j != k]
-        out.append(float(0.4 * min(others + [abs(basepoint - c)])))
-    return tuple(out)
+    near = _nearest(branch)
+    return tuple(float(0.4 * min(r, abs(basepoint - c))) for c, r in zip(branch, near))
 
 
 def auto_basepoint(branch: Sequence[complex]) -> complex:
@@ -582,16 +564,15 @@ def full_monodromy(
             basepoint, fiber0, (), (), (), ident, ident, True
         )
 
-    order = sorted(
-        range(len(branch)),
-        key=lambda k: (
-            round((cmath.phase(branch[k] - basepoint) % (2 * math.pi)) * 1e6),
-            -abs(branch[k] - basepoint),
-            branch[k].real,
-            branch[k].imag,
+    branch_ord = tuple(sorted(
+        branch,
+        key=lambda c: (
+            round((cmath.phase(c - basepoint) % (2 * math.pi)) * 1e6),
+            -abs(c - basepoint),
+            c.real,
+            c.imag,
         ),
-    )
-    branch_ord = tuple(branch[k] for k in order)
+    ))
     radii = lasso_radii(branch_ord, basepoint)
     ends: list[Perm] = []
     for k, (approach, turn) in enumerate(_loops(basepoint, branch_ord, radii, refine)):
@@ -705,8 +686,7 @@ def weierstrass_poly_of_function(
         prod = CPoly((1,))
         for v in vals:
             prod = prod * CPoly((-v, 1))
-        cs = list(prod.coeffs) + [0j] * (b + 1 - len(prod.coeffs))
-        samples[i, :] = cs
+        samples[i, :] = prod.coeffs
     coeff_cols = _interpolate(zs, samples)
 
     top = max(np.abs(coeff_cols).max(), 1.0)

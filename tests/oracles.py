@@ -4,14 +4,15 @@ Nothing here goes through the package's own algorithms: roots come from
 numpy's companion matrix, resultants and discriminants from root-product
 formulas, group-theoretic counts from breadth-first search on raw index
 tuples, lasso permutations from nearest-root matching of companion-matrix
-fibers along a subdivision that is fine near the branch points, and the
-boundary loop's cycle type from the Newton polygon at z = infinity.  The word
+fibers along a subdivision that is fine near the branch points, the
+boundary loop's cycle type from the Newton polygon at z = infinity, and
+single-linkage clusters from breadth-first connected components.  The word
 oracles use only ``Word`` multiplication and inversion, one factor at a time,
 as the reference for batched substitution and powers.  Coset tables are
 checked entry by entry on their raw rows, and standard coset tables against
 right cosets listed as sets of permutations.  ``corpus_answer`` and
-``answer_digest`` encode the generic-cover corpus's answers for
-``scripts/scale_monodromy.py`` and the tests alike.
+``answer_digest`` encode the answers of the generic-cover corpus and of the
+wide set for ``scripts/scale_monodromy.py`` and the tests alike.
 """
 
 from __future__ import annotations
@@ -438,6 +439,43 @@ def generic_cover_rows(seed: int) -> list[list[complex]]:
         zdeg = int(rng.integers(1, 3))
         rows.append([complex(rng.normal(), rng.normal()) for _ in range(zdeg + 1)])
     return rows + [[1 + 0j]]
+
+
+def wide_cover_rows(seed: int) -> list[list[complex]]:
+    """Raw ``w_coeffs`` of the wide generic-cover set (seeds 1000-1039):
+    degree d = 4 + seed % 6 in w, each c_k(z) of z-degree 1, 2 or 3 with
+    complex normal coefficients drawn one by one from ``default_rng(seed)``,
+    monic."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(4 + seed % 6):
+        zdeg = int(rng.integers(1, 4))
+        rows.append([complex(rng.normal(), rng.normal()) for _ in range(zdeg + 1)])
+    return rows + [[1 + 0j]]
+
+
+def connected_components(points, tol: float) -> list[list[int]]:
+    """Components of the graph on the indices of ``points`` that joins two
+    points at most ``tol`` apart, by breadth-first search from each index
+    not yet reached; each component ascending, in order of least index."""
+    reached: set[int] = set()
+    out = []
+    for start in range(len(points)):
+        if start in reached:
+            continue
+        reached.add(start)
+        comp, frontier = [start], [start]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for j in range(len(points)):
+                    if j not in reached and abs(points[i] - points[j]) <= tol:
+                        reached.add(j)
+                        comp.append(j)
+                        nxt.append(j)
+            frontier = nxt
+        out.append(sorted(comp))
+    return out
 
 
 def _nearest(w: complex, points: list[complex]) -> int:

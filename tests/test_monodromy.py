@@ -30,6 +30,7 @@ from oracles import (
     answer_digest,
     boundary_cycle_type,
     companion_roots,
+    connected_components,
     corpus_answer,
     generic_cover_rows,
     loop_perm_by_matching,
@@ -351,6 +352,41 @@ def test_branch_points_of_a_slowly_converging_discriminant():
         assert min(abs(z - g) for g in got) < 1e-9
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_clusters_are_the_connected_components_at_the_merge_distance(seed):
+    # clumps of near points among scattered ones, at a tolerance that merges
+    # some clumps and some scattered points, in a shuffled order
+    rng = np.random.default_rng(seed)
+
+    def scatter(k, scale):
+        return [scale * complex(rng.normal(), rng.normal()) for _ in range(k)]
+
+    points = scatter(int(rng.integers(0, 12)), 3.0)
+    for c in scatter(int(rng.integers(1, 8)), 3.0):
+        points += [c + d for d in scatter(int(rng.integers(1, 5)), 0.05)]
+    points = [points[k] for k in rng.permutation(len(points))]
+    tol = float(rng.uniform(0.05, 1.0))
+    assert monodromy._clusters(points, tol) == connected_components(points, tol)
+
+
+@pytest.mark.parametrize(
+    "points, tol, want",
+    [
+        # a-c is 2 apart, but b lies within 1 of both and comes last
+        ([0j, 2 + 0j, 1 + 0j], 1.0, [[0, 1, 2]]),
+        # two chains that grow towards each other until 7 joins them
+        ([0j, 10 + 0j, 1 + 0j, 9 + 0j, 5 + 0j, 3 + 0j, 7 + 0j, 4 + 0j], 2.0, [[0, 1, 2, 3, 4, 5, 6, 7]]),
+        # exactly tol apart merges (|0.75 + 1i| = 1.25 exactly); a hair less does not
+        ([0j, 0.75 + 1j], 1.25, [[0, 1]]),
+        ([0j, 0.75 + 1j], float(np.nextafter(1.25, 0)), [[0], [1]]),
+        ([3 + 0j, 0j, 3.5 + 0j, 0.5 + 0j], 1.0, [[0, 2], [1, 3]]),
+        ([], 1.0, []),
+    ],
+)
+def test_clusters_chain_through_points_within_the_merge_distance(points, tol, want):
+    assert monodromy._clusters(points, tol) == want == connected_components(points, tol)
+
+
 # lasso permutations of corpus seed 121 as the fiber-wide step limit found them
 PERMS_121 = [
     (3, 1, 2, 0), (0, 2, 1, 3), (1, 0, 2, 3), (3, 1, 2, 0), (0, 2, 1, 3), (0, 1, 3, 2),
@@ -443,6 +479,22 @@ def test_corpus_answers_are_pinned(corpus):
     assert len(answering) == 59
     assert all(m.product_matches_boundary for m in answering)
     assert answer_digest(corpus_answer(seed, corpus[seed]) for seed in CORPUS) == CORPUS_DIGEST
+
+
+# SHA-256 over the reprs of the branch points of the three bundled slices and
+# of every answering corpus cover, in that order: the clustering and the
+# refinement must place exactly these points, bit for bit
+BRANCH_POINTS_DIGEST = "c4ae1b50f06266a1eea4e0a8af77c4b06833676fda821f6553e1ff1ff7f1b05a"
+
+
+def test_branch_points_are_pinned(corpus):
+    digest = hashlib.sha256()
+    for cover in (CUBIC, GALOIS, STEIN):
+        digest.update(repr(branch_points(cover)).encode())
+    for seed in CORPUS:
+        if not isinstance(corpus[seed], NumericFailure):
+            digest.update(repr(corpus[seed].branch).encode())
+    assert digest.hexdigest() == BRANCH_POINTS_DIGEST
 
 
 # the three bundled slices and the first six corpus covers

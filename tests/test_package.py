@@ -1,5 +1,5 @@
-"""The package as others reach it: its exported names, and the calls that the
-benchmark under ``perfbench/`` makes into it."""
+"""The package as others reach it: its exported names, the calls that the
+benchmark under ``perfbench/`` makes into it, and the example scripts."""
 
 from __future__ import annotations
 
@@ -9,9 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import coverext
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # perfbench/oracles.py and tests/oracles.py share a module name, so the
 # benchmark's modules are loaded in their own interpreter.
@@ -47,15 +50,19 @@ def test_every_exported_name_resolves():
     assert set(namespace) - {"__builtins__"} == set(coverext.__all__)
 
 
-def _fresh(script: str, *args: str) -> list:
-    """The JSON that ``script`` prints last, run in a fresh interpreter on ``src/``."""
+def _run(*argv: str) -> str:
+    """What ``python *argv`` prints, run in a fresh interpreter on ``src/``;
+    it must exit 0."""
     src = str(Path(coverext.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-3000:]
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout
+
+
+def _fresh(script: str, *args: str) -> list:
+    """The JSON that ``script`` prints last, run in a fresh interpreter on ``src/``."""
+    return json.loads(_run("-c", script, *args).splitlines()[-1])
 
 
 _GROUP_RUNS_WITHOUT_NUMPY = """
@@ -87,6 +94,25 @@ import json, coverext
 print(json.dumps([coverext.monodromy.__name__, coverext.weak_extend.__module__]))
 """
     assert _fresh(script) == ["coverext.monodromy", "coverext.extension"]
+
+
+@pytest.mark.parametrize(
+    "argv, closing",
+    [
+        (["explore_cubic_slice.py"], "  the lasso there maps it to 1, the full product to 0"),
+        (
+            ["braid_degree_scan.py", "--max-strands", "3", "--max-sheets", "3"],
+            "  B_2 on 2 sheets -> B_3: degree 2  [s1=(0 1), s2=(0 1)]",
+        ),
+        (["audit_claims.py"], "second pass: all 8 reports byte-identical"),
+    ],
+    ids=["explore_cubic_slice", "braid_degree_scan", "audit_claims"],
+)
+def test_example_scripts_run_to_their_closing_line(argv, closing):
+    # nothing else runs these scripts, and they call lasso_radii, track_to,
+    # perm_around and the braid searches
+    out = _run(str(SCRIPTS / argv[0]), *argv[1:])
+    assert out.splitlines()[-1] == closing
 
 
 def test_benchmark_workloads_build_and_pass_their_checks():
