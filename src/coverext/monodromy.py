@@ -166,7 +166,8 @@ def branch_points(cover: CoverSlice) -> tuple[complex, ...]:
     verification: its centroid must Newton-refine on the (m-1)-th
     derivative, and all lower derivatives must vanish there to relative
     accuracy.  The refined point replaces a verified cluster; a rejected one
-    reports its m raw roots.
+    reports each of its distinct raw roots once (the root finder returns an
+    exact zero k times for a factor z^k).
     """
     disc = z_discriminant(cover)
     if disc.degree < 1:
@@ -195,7 +196,7 @@ def branch_points(cover: CoverSlice) -> tuple[complex, ...]:
         if ok:
             out.append(refined)  # type: ignore[arg-type]
         else:
-            out.extend(raw[i] for i in grp)
+            out.extend(dict.fromkeys(raw[i] for i in grp))
     return tuple(sorted((complex(z) for z in out), key=lambda z: (z.real, z.imag)))
 
 
@@ -515,11 +516,14 @@ def _start(
 ) -> tuple[tuple[complex, ...], complex, tuple[complex, ...]]:
     """What every path from a basepoint needs first: the branch points, the
     basepoint (``auto_basepoint`` when none is given) and its fiber.  Rejects
-    ``refine < 1``, a basepoint within 1e-9 of a branch point and a fiber
-    that is not simple."""
+    ``refine < 1``, two equal branch points (their lasso disks would have
+    radius 0), a basepoint within 1e-9 of a branch point and a fiber that is
+    not simple."""
     if refine < 1:
         raise ValueError("refine must be >= 1")
     branch = branch_points(cover)
+    if len(set(branch)) < len(branch):
+        raise NumericFailure("two branch points coincide")
     if basepoint is None:
         basepoint = auto_basepoint(branch)
     for c in branch:

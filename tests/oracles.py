@@ -429,29 +429,28 @@ def levi_eigenvalues_one_point(mat: np.ndarray) -> tuple[tuple[float, ...], tupl
     return tuple(float(e) for e in eigs), (pos, neg, eigs.size - pos - neg)
 
 
-def generic_cover_rows(seed: int) -> list[list[complex]]:
-    """Raw ``w_coeffs`` of the generic-cover corpus (seeds 100-159): degree
-    d = 3 + seed % 6 in w, each c_k(z) of z-degree 1 or 2 with complex normal
+def _cover_rows(seed: int, base: int, zmax: int) -> list[list[complex]]:
+    """Raw ``w_coeffs`` of a seeded generic cover: degree base + seed % 6 in
+    w, each c_k(z) of z-degree 1 to ``zmax`` with complex normal
     coefficients drawn one by one from ``default_rng(seed)``, monic."""
     rng = np.random.default_rng(seed)
     rows = []
-    for _ in range(3 + seed % 6):
-        zdeg = int(rng.integers(1, 3))
+    for _ in range(base + seed % 6):
+        zdeg = int(rng.integers(1, zmax + 1))
         rows.append([complex(rng.normal(), rng.normal()) for _ in range(zdeg + 1)])
     return rows + [[1 + 0j]]
+
+
+def generic_cover_rows(seed: int) -> list[list[complex]]:
+    """The generic-cover corpus (seeds 100-159): degree 3 + seed % 6 in w,
+    coefficients of z-degree 1 or 2."""
+    return _cover_rows(seed, 3, 2)
 
 
 def wide_cover_rows(seed: int) -> list[list[complex]]:
-    """Raw ``w_coeffs`` of the wide generic-cover set (seeds 1000-1039):
-    degree d = 4 + seed % 6 in w, each c_k(z) of z-degree 1, 2 or 3 with
-    complex normal coefficients drawn one by one from ``default_rng(seed)``,
-    monic."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(4 + seed % 6):
-        zdeg = int(rng.integers(1, 4))
-        rows.append([complex(rng.normal(), rng.normal()) for _ in range(zdeg + 1)])
-    return rows + [[1 + 0j]]
+    """The wide generic-cover set (seeds 1000-1039): degree 4 + seed % 6 in
+    w, coefficients of z-degree 1, 2 or 3."""
+    return _cover_rows(seed, 4, 3)
 
 
 def connected_components(points, tol: float) -> list[list[int]]:

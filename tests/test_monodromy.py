@@ -24,6 +24,7 @@ from coverext.monodromy import (
     weierstrass_poly_of_function,
     z_discriminant,
 )
+from coverext.perms import Perm
 from coverext.scenarios import run_payload
 
 from oracles import (
@@ -350,6 +351,29 @@ def test_branch_points_of_a_slowly_converging_discriminant():
     assert len(want) == len(got) == 22
     for z in want:
         assert min(abs(z - g) for g in got) < 1e-9
+
+
+def test_rejected_cluster_reports_each_raw_root_once():
+    # w^2 = z^3 - 1e-4 z^2: the discriminant is a multiple of z^2 (z - 1e-4),
+    # so the root finder returns 0 twice, and the three roots form one
+    # cluster at tau that fails verification (the second derivative vanishes
+    # at 1e-4 / 3); 0 must come out once, or its lasso radius is 0
+    cover = CoverSlice(BivarPoly.from_lists([[0.0, 0.0, 1e-4, -1.0], [0.0], [1.0]]))
+    got = branch_points(cover)
+    assert len(got) == 2 and got[0] == 0 and abs(got[1] - 1e-4) < 1e-12
+    mono = full_monodromy(cover)
+    assert mono.perm_around(0j) == Perm.identity(2)
+    assert mono.perm_around(1e-4) == Perm((1, 0))
+    _, fiber, _ = track_to(cover, 0.5j)
+    assert np.allclose([w * w for w in fiber], [(0.5j) ** 3 - 1e-4 * (0.5j) ** 2] * 2)
+
+
+def test_coincident_branch_points_are_rejected(monkeypatch):
+    monkeypatch.setattr(monodromy, "branch_points", lambda cover: (0j, 0j, 1 + 0j))
+    with pytest.raises(NumericFailure, match="two branch points coincide"):
+        full_monodromy(CUBIC)
+    with pytest.raises(NumericFailure, match="two branch points coincide"):
+        track_to(CUBIC, 0.5j)
 
 
 @pytest.mark.parametrize("seed", range(12))
